@@ -13,7 +13,7 @@
 //! [`ParallelEngine`] is that design as an engine-level subsystem rather
 //! than a caller-level thread fan-out:
 //!
-//! 1. **Snapshot** — a seeded [`ProbabilisticDB`] is deep-snapshotted into
+//! 1. **Snapshot** — a seeded [`ProbabilisticDB`] is snapshotted into
 //!    N independent replicas ([`ProbabilisticDB::snapshot`]): own
 //!    [`Database`](fgdb_relational::Database) clone, own world, own proposer
 //!    and RNG stream (seeds derived via [`chain_seed`]), own incrementally
@@ -237,7 +237,7 @@ impl TraceStore {
     }
 }
 
-/// One independent replica: deep-snapshotted database + chain, its
+/// One independent replica: snapshotted (copy-on-write) database + chain, its
 /// incrementally maintained view, and its membership traces.
 struct Replica<M> {
     pdb: ProbabilisticDB<M>,

@@ -395,9 +395,11 @@ impl<M: Model> ProbabilisticDB<M> {
         self.chain.restore_counters(steps_taken, stats);
     }
 
-    /// Deep-snapshots this probabilistic database into an independent
+    /// Snapshots this probabilistic database into an independent
     /// replica — §5.4's "identical copies of the initial world". The stored
-    /// world is deep-cloned (see [`Database::snapshot`]), the in-memory
+    /// world is shared copy-on-write (see [`Database::snapshot`]: one
+    /// pointer per storage chunk, and a chunk copy on the first write to
+    /// it), the in-memory
     /// variable assignment is copied, the model is cloned (models meant for
     /// replication are `Arc`-shared, so this is a refcount bump), and the
     /// replica gets its own proposer and a fresh RNG stream seeded with

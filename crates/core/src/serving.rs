@@ -13,7 +13,7 @@
 //!   *registered query*'s materialized view (Algorithm 1), and — every
 //!   `publish_every` samples — publication of a new [`EpochSnapshot`].
 //! * An epoch is an immutable, internally consistent picture of one
-//!   sampled world: a deep [`Database::snapshot`] plus each registered
+//!   sampled world: a copy-on-write [`Database::snapshot`] plus each registered
 //!   query's current answer, full-run marginal estimates, and windowed
 //!   convergence diagnostics (split-R̂ / ESS over the last `window`
 //!   samples). Epochs are published by swapping an `Arc` behind a brief
@@ -150,12 +150,35 @@ impl ServingError {
 /// Per-tuple 0/1 membership traces over a bounded trailing window —
 /// the serving-loop analogue of the engine's `TraceStore`, with eviction:
 /// a tuple whose trace left the window entirely (all zeros) is dropped, so
-/// memory is bounded by (answer support within the window) × `window`.
+/// memory is bounded by (answer support within the window) × 2·`window`.
+///
+/// The window slides by offset: every buffer holds `start + len` samples
+/// and the window is `buf[start..]`. Buffers are compacted once per
+/// `window` samples, so sliding costs O(1) amortised per trace instead of
+/// an O(window) shift, and each window stays one contiguous slice.
 #[derive(Debug)]
 struct WindowedTraces {
     window: usize,
     len: usize,
-    rows: HashMap<Tuple, Vec<f64>>,
+    /// Samples before the window still held in every buffer.
+    start: usize,
+    rows: HashMap<Tuple, Trace>,
+}
+
+/// One tuple's trace buffer (see [`WindowedTraces`]).
+#[derive(Debug)]
+struct Trace {
+    buf: Vec<f64>,
+    /// Buffer index of the latest 1.0: the trace is all zeros within the
+    /// window once this falls before `start`.
+    last_hit: usize,
+}
+
+impl Trace {
+    /// The samples inside the window (`buf[start..]`).
+    fn window(&self, start: usize) -> &[f64] {
+        self.buf.get(start..).unwrap_or_default()
+    }
 }
 
 impl WindowedTraces {
@@ -163,37 +186,46 @@ impl WindowedTraces {
         WindowedTraces {
             window,
             len: 0,
+            start: 0,
             rows: HashMap::new(),
         }
     }
 
     fn record(&mut self, answer: &CountedSet) {
         for trace in self.rows.values_mut() {
-            trace.push(0.0);
+            trace.buf.push(0.0);
         }
+        let end = self.start + self.len;
         for t in answer.support() {
             match self.rows.get_mut(t) {
                 // Every live trace just received a push above, but the
                 // serving loop must not be able to panic on that inference.
                 Some(trace) => {
-                    if let Some(last) = trace.last_mut() {
+                    if let Some(last) = trace.buf.last_mut() {
                         *last = 1.0;
+                        trace.last_hit = end;
                     }
                 }
                 None => {
-                    let mut trace = vec![0.0; self.len];
-                    trace.push(1.0);
-                    self.rows.insert(t.clone(), trace);
+                    let mut buf = vec![0.0; end];
+                    buf.push(1.0);
+                    self.rows.insert(t.clone(), Trace { buf, last_hit: end });
                 }
             }
         }
         self.len += 1;
         if self.len > self.window {
             self.len = self.window;
-            self.rows.retain(|_, trace| {
-                trace.remove(0);
-                trace.iter().any(|&x| x != 0.0)
-            });
+            self.start += 1;
+            let start = self.start;
+            self.rows.retain(|_, trace| trace.last_hit >= start);
+            if self.start >= self.window {
+                for trace in self.rows.values_mut() {
+                    trace.buf.drain(..start);
+                    trace.last_hit -= start;
+                }
+                self.start = 0;
+            }
         }
     }
 
@@ -203,6 +235,7 @@ impl WindowedTraces {
         let mut max_r_hat = 1.0f64;
         let mut min_ess = self.len as f64;
         for trace in self.rows.values() {
+            let trace = trace.window(self.start);
             max_r_hat = max_r_hat.max(split_r_hat(trace));
             min_ess = min_ess.min(effective_sample_size(trace));
         }
@@ -241,8 +274,8 @@ pub struct QueryStatus {
 /// An immutable, internally consistent picture of one published sampler
 /// state: pin it and every read — registered statuses and ad-hoc SQL
 /// alike — observes the same world (snapshot isolation by construction:
-/// the epoch owns a deep [`Database::snapshot`] no later interval ever
-/// touches).
+/// the epoch owns a [`Database::snapshot`] no later interval can change —
+/// the sampler's writes copy the storage chunks they touch).
 #[derive(Debug)]
 pub struct EpochSnapshot {
     /// Publication number (0 = the initial pre-sampling epoch).
@@ -302,8 +335,13 @@ impl EpochCell {
     }
 
     pub(crate) fn store(&self, snap: Arc<EpochSnapshot>) {
-        // lint:allow(sync, one pointer swap per publish interval, not per step; readers block for the swap only)
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = snap;
+        let old = {
+            // lint:allow(sync, one pointer swap per publish interval, not per step; readers block for the swap only)
+            let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
+            std::mem::replace(&mut *current, snap)
+        };
+        // Freeing an epoch can take milliseconds; do it with the lock released so readers never wait on it.
+        drop(old);
     }
 }
 
@@ -885,9 +923,83 @@ mod tests {
             !w.rows.contains_key(&t_cold),
             "tuple outside the window must be evicted"
         );
-        assert!(w.rows[&t_hot].len() <= 8);
+        assert!(w.rows[&t_hot].window(w.start).len() <= 8);
+        assert!(w.rows[&t_hot].buf.len() <= 2 * 8);
         let (r_hat, ess) = w.diagnose();
         assert!(r_hat.is_finite());
         assert!(ess > 0.0);
+    }
+
+    /// The offset slide matches the plain formulation — shift every trace
+    /// by `remove(0)` each sample once the window is full, evict all-zero
+    /// traces — trace for trace and bit for bit, over a stream several
+    /// windows long.
+    #[test]
+    fn windowed_traces_offset_slide_matches_plain_shift() {
+        const WINDOW: usize = 16;
+        let mut w = WindowedTraces::new(WINDOW);
+        let mut plain: HashMap<Tuple, Vec<f64>> = HashMap::new();
+        let mut plain_len = 0usize;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..(7 * WINDOW + 5) {
+            // A drifting support over 12 tuples: some stay hot, some go
+            // cold long enough to be evicted, then come back.
+            let mut answer = CountedSet::new();
+            for id in 0..12i64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let rate = if (id + step as i64 / WINDOW as i64) % 3 == 0 {
+                    2
+                } else {
+                    9
+                };
+                if state % 10 >= rate {
+                    answer.add(fgdb_relational::tuple![id], 1);
+                }
+            }
+            w.record(&answer);
+
+            for trace in plain.values_mut() {
+                trace.push(0.0);
+            }
+            for t in answer.support() {
+                match plain.get_mut(t) {
+                    Some(trace) => *trace.last_mut().unwrap() = 1.0,
+                    None => {
+                        let mut trace = vec![0.0; plain_len];
+                        trace.push(1.0);
+                        plain.insert(t.clone(), trace);
+                    }
+                }
+            }
+            plain_len += 1;
+            if plain_len > WINDOW {
+                plain_len = WINDOW;
+                plain.retain(|_, trace| {
+                    trace.remove(0);
+                    trace.iter().any(|&x| x != 0.0)
+                });
+            }
+
+            assert_eq!(w.len, plain_len);
+            assert_eq!(w.rows.len(), plain.len(), "step {step}");
+            for (t, trace) in &plain {
+                assert_eq!(
+                    w.rows.get(t).map(|tr| tr.window(w.start)),
+                    Some(&trace[..]),
+                    "step {step}"
+                );
+            }
+            let mut r_hat = 1.0f64;
+            let mut ess = plain_len as f64;
+            for trace in plain.values() {
+                r_hat = r_hat.max(split_r_hat(trace));
+                ess = ess.min(effective_sample_size(trace));
+            }
+            let (got_r_hat, got_ess) = w.diagnose();
+            assert_eq!(got_r_hat.to_bits(), r_hat.to_bits(), "step {step}");
+            assert_eq!(got_ess.to_bits(), ess.to_bits(), "step {step}");
+        }
     }
 }

@@ -20,7 +20,10 @@
 //!   [`FormatError`].
 
 use fgdb_graph::{Domain, World};
-use fgdb_relational::{CountedSet, Database, DeltaSet, Relation, Schema, Tuple, Value, ValueType};
+use fgdb_relational::{
+    CountedSet, Database, DeltaSet, Relation, RelationBuilder, Schema, StorageError, Tuple, Value,
+    ValueType,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -486,6 +489,7 @@ pub fn decode_schema(d: &mut Dec<'_>) -> Result<Schema, FormatError> {
 pub fn encode_relation(e: &mut Enc, r: &Relation) {
     e.str(r.name());
     encode_schema(e, r.schema());
+    // Streamed chunk by chunk: no flat copy of the slot array.
     let slots = r.raw_slots();
     e.varint(slots.len() as u64);
     for slot in slots {
@@ -514,19 +518,25 @@ pub fn encode_relation(e: &mut Enc, r: &Relation) {
 pub fn decode_relation(d: &mut Dec<'_>) -> Result<Relation, FormatError> {
     let name: Arc<str> = Arc::from(d.str()?);
     let schema = decode_schema(d)?;
+    let invalid = |err: StorageError| FormatError::Invalid {
+        what: "Relation",
+        detail: err.to_string(),
+    };
+    // Slots go straight into the relation's chunks as they are decoded.
+    let mut rel = RelationBuilder::new(name, schema);
     let n_slots = d.len_prefix("Relation slots", 1)?;
-    let mut slots = Vec::with_capacity(n_slots);
     for _ in 0..n_slots {
-        match d.u8()? {
-            0 => slots.push(None),
-            1 => slots.push(Some(decode_tuple(d)?)),
+        let slot = match d.u8()? {
+            0 => None,
+            1 => Some(decode_tuple(d)?),
             t => {
                 return Err(FormatError::BadTag {
                     what: "Relation slot flag",
                     tag: t,
                 })
             }
-        }
+        };
+        rel.push_slot(slot).map_err(invalid)?;
     }
     let n_free = d.len_prefix("Relation free list", 1)?;
     let mut free = Vec::with_capacity(n_free);
@@ -538,12 +548,7 @@ pub fn decode_relation(d: &mut Dec<'_>) -> Result<Relation, FormatError> {
     for _ in 0..n_indexed {
         indexed.push(d.varint_usize("Relation index column")?);
     }
-    Relation::from_raw_parts(name, schema, slots, free, &indexed).map_err(|err| {
-        FormatError::Invalid {
-            what: "Relation",
-            detail: err.to_string(),
-        }
-    })
+    rel.finish(free, &indexed).map_err(invalid)
 }
 
 /// Encodes a [`Database`] (relation count + relations in name order —

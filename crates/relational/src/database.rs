@@ -41,9 +41,12 @@ impl From<StorageError> for CatalogError {
 
 /// A deterministic database instance: one possible world.
 ///
-/// Cloning deep-snapshots every relation (see [`Relation::snapshot`]) — the
+/// Cloning snapshots every relation (see [`Relation::snapshot`]) — the
 /// replication primitive behind §5.4's parallel query evaluation, where each
-/// chain mutates its own "identical copy of the initial world".
+/// chain mutates its own "identical copy of the initial world", and behind
+/// serving epochs and checkpoints. Storage is shared copy-on-write, so a
+/// clone costs O(#chunks) pointer copies and writes after it copy only the
+/// chunks they touch.
 #[derive(Clone, Default)]
 pub struct Database {
     relations: BTreeMap<Arc<str>, Relation>,
@@ -105,8 +108,10 @@ impl Database {
         self.relations.values().map(Relation::len).sum()
     }
 
-    /// Deep snapshot: an independent copy of the whole stored world, row ids
-    /// and indexes included. Named alias of `Clone` marking intent.
+    /// Snapshot: an independent copy of the whole stored world, row ids
+    /// and indexes included. Named alias of `Clone` marking intent. Costs
+    /// one pointer copy per storage chunk and index (see
+    /// [`Relation::snapshot`]), not one per row.
     pub fn snapshot(&self) -> Database {
         self.clone()
     }

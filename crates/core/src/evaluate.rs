@@ -20,7 +20,7 @@ use crate::pdb::ProbabilisticDB;
 use fgdb_graph::{Model, ModelError};
 use fgdb_relational::{
     compile_query, execute, CircuitError, ExecError, MaterializedView, Plan, QueryError,
-    StorageError, Tuple, ViewBackend,
+    StorageError, Tuple,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -175,19 +175,6 @@ impl QueryEvaluator {
         k: usize,
     ) -> Result<Self, EvaluateError> {
         let view = MaterializedView::new(&plan, pdb.database())?;
-        Self::from_view(plan, view, k)
-    }
-
-    /// [`Self::materialized`] on an explicitly chosen view backend
-    /// (legacy operator tree or Z-set circuit), bypassing the
-    /// `FGDB_VIEW_BACKEND` environment selector.
-    pub fn materialized_with_backend<M: Model>(
-        plan: Plan,
-        pdb: &ProbabilisticDB<M>,
-        k: usize,
-        backend: ViewBackend,
-    ) -> Result<Self, EvaluateError> {
-        let view = MaterializedView::with_backend(&plan, pdb.database(), backend)?;
         Self::from_view(plan, view, k)
     }
 

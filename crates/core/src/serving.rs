@@ -39,9 +39,7 @@ use crate::evaluate::{EvaluateError, QueryEvaluator};
 use crate::pdb::ProbabilisticDB;
 use fgdb_graph::Model;
 use fgdb_mcmc::{effective_sample_size, split_r_hat};
-use fgdb_relational::{
-    compile_query, execute, CountedSet, Database, QueryResult, Tuple, ViewBackend,
-};
+use fgdb_relational::{compile_query, execute, CountedSet, Database, QueryResult, Tuple};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,10 +61,6 @@ pub struct ServingConfig {
     /// Per-tuple split-R̂ gate for the `converged` tag (values ≤ 1 disarm
     /// the gate, exactly as in [`crate::EngineConfig`]).
     pub r_hat_threshold: f64,
-    /// View-maintenance backend for registered queries. Defaults to
-    /// [`ViewBackend::from_env`] (`FGDB_VIEW_BACKEND`); recursive plans
-    /// always use the circuit backend regardless.
-    pub view_backend: ViewBackend,
 }
 
 impl Default for ServingConfig {
@@ -76,7 +70,6 @@ impl Default for ServingConfig {
             publish_every: 8,
             window: 256,
             r_hat_threshold: 1.1,
-            view_backend: ViewBackend::from_env(),
         }
     }
 }
@@ -569,12 +562,7 @@ pub(crate) fn build_registered<M: Model>(
         let columns = plan
             .output_columns(pdb.database())
             .map_err(|e| ServingError::from(EvaluateError::Exec(e.into())))?;
-        let eval = QueryEvaluator::materialized_with_backend(
-            plan,
-            pdb,
-            config.thinning,
-            config.view_backend,
-        )?;
+        let eval = QueryEvaluator::materialized(plan, pdb, config.thinning)?;
         let mut traces = WindowedTraces::new(config.window);
         traces.record(
             eval.current_answer()
@@ -694,7 +682,7 @@ fn sampler_loop<M: Model>(
         if stop.load(Ordering::Acquire) {
             break Ok(());
         }
-        match step_once(&mut pdb, &mut registered) {
+        match step_once(&mut pdb, &mut registered, config.thinning) {
             Ok(()) => {
                 // lint:allow-start(sync, per-step counter bumps; values are advisory and carry no cross-thread ordering)
                 stats.steps.store(pdb.steps_taken(), Ordering::Relaxed);
@@ -735,14 +723,6 @@ fn sampler_loop<M: Model>(
     }
 }
 
-/// The thinning interval the registered views were materialized with.
-pub(crate) fn interval_k(registered: &[Registered], config: &ServingConfig) -> usize {
-    registered
-        .first()
-        .map(|r| r.eval.thinning())
-        .unwrap_or(config.thinning)
-}
-
 /// Incremental maintenance after one committed interval: folds `delta`
 /// into every registered view and extends its diagnostic trace. Shared
 /// with the supervised (durable) loop, whose deltas come back from
@@ -763,13 +743,14 @@ pub(crate) fn observe_delta(
     Ok(())
 }
 
-/// One thinning interval: k walk-steps, then incremental maintenance and
+/// One thinning interval: `k` walk-steps (`config.thinning`, the interval
+/// every registered view was built with), then incremental maintenance and
 /// trace extension of every registered view.
 fn step_once<M: Model>(
     pdb: &mut ProbabilisticDB<M>,
     registered: &mut [Registered],
+    k: usize,
 ) -> Result<(), EvaluateError> {
-    let k = registered.first().map(|r| r.eval.thinning()).unwrap_or(100);
     let delta = pdb.step(k)?;
     observe_delta(registered, &delta, pdb.database())
 }
@@ -817,6 +798,31 @@ mod tests {
     }
 
     #[test]
+    fn zero_query_sampler_steps_the_configured_thinning() {
+        let pdb = biased_token_pdb(N, 4, 99);
+        assert_eq!(pdb.steps_taken(), 0);
+        let sampler = LiveSampler::spawn(
+            pdb,
+            &[],
+            ServingConfig {
+                thinning: 7,
+                publish_every: 2,
+                ..ServingConfig::default()
+            },
+        )
+        .unwrap();
+        let reader = sampler.reader();
+        while reader.status().samples < 3 {
+            std::thread::yield_now();
+        }
+        let pdb = sampler.stop().unwrap();
+        let samples = reader.status().samples;
+        assert!(samples > 0);
+        assert_eq!(pdb.steps_taken(), 7 * samples);
+        assert_eq!(reader.status().steps, 7 * samples);
+    }
+
+    #[test]
     fn pinned_epochs_are_snapshot_isolated() {
         let sampler = spawn_fixture(ServingConfig {
             thinning: 3,
@@ -861,7 +867,6 @@ mod tests {
             publish_every: 4,
             window: 64,
             r_hat_threshold: 1.5,
-            ..ServingConfig::default()
         });
         let reader = sampler.reader();
         while reader.status().samples < 40 {

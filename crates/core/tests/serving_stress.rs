@@ -1,5 +1,5 @@
 //! Multi-threaded stress test of the serving core's snapshot-isolation
-//! contract (ISSUE PR-6, satellite 4).
+//! contract.
 //!
 //! N reader threads hammer a [`LiveSampler`] through clone-cheap
 //! [`EpochReader`] handles while the sampler publishes epochs as fast as
@@ -15,17 +15,27 @@
 //! * **Epoch monotonicity** — successive `pin()` calls on one reader
 //!   never observe the epoch counter going backwards.
 //!
+//! Each reader also holds its *first* pinned epoch for the whole run,
+//! recording its TOKEN row slots and its four paper-query answers up
+//! front. Relation storage is copy-on-write and shared between epochs, so
+//! the sampler's write-backs land in chunks the held epoch may still point
+//! at; after at least 30 later publications the reader re-checks the held
+//! epoch slot-for-slot and answer-for-answer.
+//!
 //! Thread count defaults low enough for the 1-core CI container; the
 //! nightly-deep job raises it via `FGDB_STRESS_THREADS`.
 
 use fgdb_core::fixtures::biased_token_pdb;
-use fgdb_core::{EpochReader, LiveSampler, ServingConfig};
+use fgdb_core::{EpochReader, EpochSnapshot, LiveSampler, ServingConfig};
 use fgdb_relational::parser::paper_sql;
-use fgdb_relational::{compile_query, execute, Value, ViewBackend};
+use fgdb_relational::{compile_query, execute, Tuple, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const N_TOKENS: usize = 30;
+
+/// Publications a reader must see after its held epoch before re-checking.
+const LATER_EPOCHS: u64 = 30;
 
 fn stress_threads() -> usize {
     std::env::var("FGDB_STRESS_THREADS")
@@ -34,17 +44,37 @@ fn stress_threads() -> usize {
         .unwrap_or(4)
 }
 
+/// The held epoch's TOKEN row slots and its sorted paper-query answers.
+type Frozen = (Vec<Option<Tuple>>, Vec<Vec<(Tuple, i64)>>);
+
+fn freeze(snap: &EpochSnapshot, queries: &[String]) -> Frozen {
+    let slots = snap
+        .database()
+        .relation("TOKEN")
+        .expect("TOKEN relation")
+        .raw_slots()
+        .to_vec();
+    let answers = queries
+        .iter()
+        .map(|sql| snap.query(sql).expect("paper query").rows.sorted_entries())
+        .collect();
+    (slots, answers)
+}
+
 /// One reader thread's loop: pin, interrogate the pinned world, verify
-/// invariants, repeat until the flag drops. Returns how many pinned
-/// epochs it verified.
+/// invariants, repeat until the flag drops and the sampler has published
+/// [`LATER_EPOCHS`] epochs past this reader's held one; then re-check the
+/// held epoch. Returns how many pinned epochs it verified.
 fn reader_loop(reader: EpochReader, queries: Arc<Vec<String>>, done: Arc<AtomicBool>) -> u64 {
     let partition_sql = "SELECT label, COUNT(*) FROM TOKEN GROUP BY label";
-    let mut last_epoch = 0u64;
+    let held = reader.pin();
+    let frozen = freeze(&held, &queries);
+    let mut last_epoch = held.epoch;
     let mut verified = 0u64;
     // Keep going until the main thread says stop, but always verify at
     // least a few epochs — on a loaded 1-core box the sampler can hit the
     // epoch target before a reader finishes its first iteration.
-    while !done.load(Ordering::Acquire) || verified < 3 {
+    while !done.load(Ordering::Acquire) || verified < 3 || last_epoch < held.epoch + LATER_EPOCHS {
         let snap = reader.pin();
 
         // Epoch monotonicity per reader.
@@ -87,13 +117,18 @@ fn reader_loop(reader: EpochReader, queries: Arc<Vec<String>>, done: Arc<AtomicB
 
         verified += 1;
     }
+    assert_eq!(
+        freeze(&held, &queries),
+        frozen,
+        "held epoch {} changed under {} later publications",
+        held.epoch,
+        last_epoch - held.epoch
+    );
     verified
 }
 
-/// The full stress run, parameterized over the registered queries' view
-/// backend: the snapshot-isolation contract is backend-agnostic, so the
-/// legacy operator tree and the Z-set circuit must both survive it.
-fn run_stress(backend: ViewBackend) {
+#[test]
+fn concurrent_readers_see_consistent_pinned_epochs() {
     let pdb = biased_token_pdb(N_TOKENS, 6, 0x57AE55);
     let q2 = paper_sql::query2("TOKEN");
     let sampler = LiveSampler::spawn(
@@ -103,7 +138,6 @@ fn run_stress(backend: ViewBackend) {
             thinning: 10,
             publish_every: 1,
             window: 64,
-            view_backend: backend,
             ..Default::default()
         },
     )
@@ -158,14 +192,4 @@ fn run_stress(backend: ViewBackend) {
     assert!(status.window_len >= 30);
     let pdb = sampler.stop().expect("clean stop after stress");
     assert!(pdb.steps_taken() > 0);
-}
-
-#[test]
-fn concurrent_readers_see_consistent_pinned_epochs() {
-    run_stress(ViewBackend::Circuit);
-}
-
-#[test]
-fn concurrent_readers_survive_the_legacy_backend_too() {
-    run_stress(ViewBackend::Legacy);
 }

@@ -85,6 +85,29 @@ pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
+/// Collects the `.rs` files R1–R3 do not scan but whose knob reads count
+/// for R4's reverse check: `tests/`, `benches/` and `examples/` trees of
+/// the root crate, `crates/*`, and `shims/*`.
+fn knob_reader_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut members = vec![root.to_path_buf()];
+    for group in ["crates", "shims"] {
+        let dir = root.join(group);
+        if dir.is_dir() {
+            members.extend(read_dir_sorted(&dir)?);
+        }
+    }
+    let mut files = Vec::new();
+    for member in members {
+        for sub in ["tests", "benches", "examples"] {
+            let dir = member.join(sub);
+            if dir.is_dir() {
+                collect_rs(&dir, &mut files)?;
+            }
+        }
+    }
+    Ok(files)
+}
+
 fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let rd = fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
     let mut out = Vec::new();
@@ -156,6 +179,12 @@ pub fn run(opts: &Options) -> Result<Report, String> {
         &knob_sites,
         &bench_baselines(&opts.root)?,
     ));
+    let mut readers: Vec<String> = knob_sites.iter().map(|(k, _, _)| k.clone()).collect();
+    for file in knob_reader_files(&opts.root)? {
+        let src = fs::read_to_string(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
+        readers.extend(rules::knob_literals(&src));
+    }
+    violations.extend(rules::check_unread_knobs(&readme, &readers));
 
     // Walk order is deterministic, but R4 findings land last; sort so
     // output and baselines group by file regardless of rule.

@@ -13,8 +13,9 @@
 //!   lock acquisition in hot-path modules must carry a
 //!   `lint:allow(sync, reason)` naming why it is safe.
 //! * **docs** (R4) — every `FGDB_*` knob string in code must appear in
-//!   README's knob table; every committed `BENCH_*.json` must appear in
-//!   README's baseline table.
+//!   README's knob table, and every knob-table row must name a knob some
+//!   source or test file still reads; every committed `BENCH_*.json` must
+//!   appear in README's baseline table.
 //!
 //! Test code (`#[cfg(test)]` / `#[test]` items) and doc-comment examples
 //! are exempt from R1–R3; R4 spans everything, tests included — a knob
@@ -385,15 +386,9 @@ pub fn analyze_source(path: &str, src: &str) -> FileAnalysis {
     let in_test = |line: usize| regions.iter().any(|&(s, e)| s <= line && line <= e);
 
     let toks = &lexed.toks;
-    let mut knobs: Vec<(String, usize)> = Vec::new();
+    // R4 collection: exact FGDB_* knob literals, everywhere.
+    let knobs = collect_knobs(toks);
     for (i, t) in toks.iter().enumerate() {
-        // R4 collection: exact FGDB_* knob literals, everywhere.
-        if t.kind == TokKind::Str
-            && is_knob_literal(&t.text)
-            && !knobs.iter().any(|(k, _)| k == &t.text)
-        {
-            knobs.push((t.text.clone(), t.line));
-        }
         if in_test(t.line) {
             continue;
         }
@@ -578,6 +573,20 @@ fn push_unless_allowed(
     });
 }
 
+/// Every distinct exact `FGDB_*` knob literal, with its first-use line.
+fn collect_knobs(toks: &[Tok]) -> Vec<(String, usize)> {
+    let mut knobs: Vec<(String, usize)> = Vec::new();
+    for t in toks {
+        if t.kind == TokKind::Str
+            && is_knob_literal(&t.text)
+            && !knobs.iter().any(|(k, _)| k == &t.text)
+        {
+            knobs.push((t.text.clone(), t.line));
+        }
+    }
+    knobs
+}
+
 /// True for a string literal that *is* a knob name (`FGDB_FSYNC`), as
 /// opposed to prose that merely mentions one.
 fn is_knob_literal(s: &str) -> bool {
@@ -643,4 +652,42 @@ pub fn check_docs(
         }
     }
     out
+}
+
+/// The reverse knob drift: a README knob-table row (a `|` line whose first
+/// cell is one backticked `FGDB_*` name) for a knob that no file in
+/// `readers` (knob names collected from source, test, bench and example
+/// files) reads any more. Documentation of a deleted knob is drift too.
+pub fn check_unread_knobs(readme: &str, readers: &[String]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (i, line) in readme.lines().enumerate() {
+        let Some(row) = line.trim_start().strip_prefix('|') else {
+            continue;
+        };
+        let cell = row.split('|').next().unwrap_or("").trim();
+        let Some(knob) = cell.strip_prefix('`').and_then(|c| c.strip_suffix('`')) else {
+            continue;
+        };
+        if is_knob_literal(knob) && !readers.iter().any(|r| r == knob) {
+            out.push(Violation {
+                rule: Rule::Docs,
+                file: "README.md".to_string(),
+                line: i + 1,
+                snippet: knob.to_string(),
+                message: format!(
+                    "README knob-table row `{knob}` names a knob no source or test file reads"
+                ),
+            });
+        }
+    }
+    out
+}
+
+/// Every exact `FGDB_*` knob literal in `src`, for R4's reader set over
+/// files the other rules do not scan (tests, benches, examples).
+pub fn knob_literals(src: &str) -> Vec<String> {
+    collect_knobs(&lex(src).toks)
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect()
 }

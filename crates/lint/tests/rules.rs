@@ -4,7 +4,7 @@
 //! silent, and the false-positive guards — raw strings, nested comments,
 //! doc examples, `#[cfg(test)]` blocks — stay silent too.
 
-use fgdb_lint::rules::{analyze_source, check_docs, Rule};
+use fgdb_lint::rules::{analyze_source, check_docs, check_unread_knobs, knob_literals, Rule};
 
 fn rule_lines(path: &str, src: &str, rule: Rule) -> Vec<usize> {
     analyze_source(path, src)
@@ -172,6 +172,28 @@ fn docs_rule_flags_missing_knobs_and_benches() {
     let prose = "FGDB_MISSING is documented only in prose, `FGDB_MISSING` even in backticks\n";
     let violations = check_docs(prose, &knobs[1..], &[]);
     assert_eq!(violations.len(), 1, "{violations:?}");
+}
+
+#[test]
+fn docs_rule_flags_knob_rows_nothing_reads() {
+    let readme = "# repo\n\
+                  | knob | consumer |\n\
+                  |---|---|\n\
+                  | `FGDB_READ` | reads `FGDB_UNREAD_PROSE` in passing |\n\
+                  | `FGDB_GONE` | deleted engine |\n\
+                  FGDB_PROSE_ONLY is not a table row\n\
+                  | `BENCH_x.json` | not a knob |\n";
+    let readers = knob_literals("fn f() { std::env::var(\"FGDB_READ\").ok(); }");
+    assert_eq!(readers, vec!["FGDB_READ".to_string()]);
+    let violations = check_unread_knobs(readme, &readers);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    let v = &violations[0];
+    assert_eq!(v.rule, Rule::Docs);
+    assert_eq!((v.file.as_str(), v.line), ("README.md", 5));
+    assert_eq!(v.snippet, "FGDB_GONE");
+    // Once a reader exists, the row is clean.
+    let readers = vec!["FGDB_READ".to_string(), "FGDB_GONE".to_string()];
+    assert!(check_unread_knobs(readme, &readers).is_empty());
 }
 
 #[test]

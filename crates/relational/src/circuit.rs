@@ -1,14 +1,15 @@
-//! DBSP-style operator circuits: incremental view maintenance over Z-sets.
+//! DBSP-style operator circuits: the engine behind
+//! [`MaterializedView`](crate::MaterializedView).
 //!
-//! This is the second, generalized implementation of Algorithm 1's view
-//! engine (the first is the operator tree in [`crate::view`]). A [`Circuit`]
-//! compiles a [`Plan`] into a flat list of stateful operator nodes in
-//! topological order; every node consumes and produces [`ZSet`] deltas, and
-//! applying a world delta is one bottom-up sweep costing Θ(|Δ|) — the same
-//! contract as the legacy engine, deliberately, so the two can be tested
-//! differentially against each other and against naive re-execution.
+//! A view's [`Plan`] compiles into a flat list of stateful operator nodes in
+//! topological order; every node consumes and produces [`CountedSet`]
+//! deltas, and applying a world delta is one bottom-up sweep costing Θ(|Δ|)
+//! plus join fan-out. A node whose subtree reads none of the batch's
+//! relations returns an empty delta without touching its state, and a
+//! base-relation input hands the batch's own per-relation set through
+//! borrowed, so selections and projections read Δ without copying it.
 //!
-//! What the circuit adds over the legacy engine is *recursion*: a
+//! Beyond the non-recursive algebra the circuit supports *recursion*: a
 //! [`Plan::Fixpoint`] compiles to a fixpoint node holding two nested
 //! sub-circuits (the non-recursive base term and the recursive step term,
 //! with [`Plan::Rec`] leaves compiled to a recursive-input port). Under set
@@ -23,16 +24,16 @@
 //! iteration. Every iteration loop is bounded by the fixpoint's cap; hitting
 //! it is a typed [`CircuitError::IterationLimit`], never divergence.
 //!
-//! Errors are deliberately richer than the legacy engine's: an inconsistent
-//! delta stream (retracting a tuple that was never inserted) surfaces as
-//! [`CircuitError::InconsistentDelta`] from `distinct`/`aggregate` state
-//! instead of silently going negative. A circuit that has returned an error
-//! may hold partially updated state and should be rebuilt.
+//! An inconsistent delta stream (retracting a tuple that was never
+//! inserted) surfaces as [`CircuitError::InconsistentDelta`] from
+//! `distinct`/`aggregate` state instead of silently going negative. A view
+//! that has returned an error may hold partially updated state and should
+//! be rebuilt.
 //!
 //! # Example: transitive closure, maintained incrementally
 //!
 //! ```
-//! use fgdb_relational::{tuple, Circuit, Database, DeltaSet, Plan, Schema, ValueType};
+//! use fgdb_relational::{tuple, Database, DeltaSet, MaterializedView, Plan, Schema, ValueType};
 //! use std::sync::Arc;
 //!
 //! let mut db = Database::new();
@@ -47,34 +48,32 @@
 //!     .project(&["a", "dst"]);
 //! let plan = Plan::scan("LINK").fixpoint(step, "REACH", &["a", "b"]);
 //!
-//! let mut circuit = Circuit::new(&plan, &db).unwrap();
-//! assert_eq!(circuit.result().total(), 3); // 1→2, 2→3, 1→3
+//! let mut view = MaterializedView::new(&plan, &db).unwrap();
+//! assert_eq!(view.result().total(), 3); // 1→2, 2→3, 1→3
 //!
 //! // A new edge 3→4 extends every chain that reaches 3.
 //! let rel: Arc<str> = Arc::from("LINK");
 //! let mut delta = DeltaSet::new();
 //! delta.record_insert(&rel, tuple![3i64, 4i64]);
-//! let out = circuit.apply_delta(&delta).unwrap();
+//! let out = view.try_apply_delta(&delta).unwrap();
 //! assert_eq!(out.total(), 3); // 3→4, 2→4, 1→4
-//! assert_eq!(circuit.result().total(), 6);
+//! assert_eq!(view.result().total(), 6);
 //! ```
 
 use crate::algebra::{Plan, PlanError};
-use crate::counted::CountedSet;
+use crate::counted::{CountedSet, NegativeWeight};
 use crate::database::Database;
 use crate::delta::DeltaSet;
-use crate::exec::{bind_aggs, join_key_indices, AggSpec, ExecError};
+use crate::exec::{bind_aggs, join_key_indices, AggAcc, AggSpec, ExecError};
 use crate::expr::{resolve_column, BoundExpr};
 use crate::fasthash::TupleMap;
 use crate::tuple::{fingerprint_values, Tuple};
 use crate::value::Value;
-use crate::view::{GroupState, SetOpKind};
-use crate::zset::{NegativeWeight, ZSet};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Typed error surface of the circuit backend.
+/// Typed error surface of view compilation and maintenance.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CircuitError {
     /// Plan validation/binding failure (shared with the executor).
@@ -87,7 +86,7 @@ pub enum CircuitError {
     },
     /// The recursive term references the recursive relation more than once
     /// (e.g. a self-join of the recursion). Only linear recursion is
-    /// supported by the circuit backend.
+    /// supported.
     NonLinearRecursion {
         /// The recursive relation's name.
         name: String,
@@ -112,9 +111,6 @@ pub enum CircuitError {
     /// state (distinct support, aggregate group multiplicity) would have
     /// gone negative. The circuit's state is no longer trustworthy.
     InconsistentDelta(NegativeWeight),
-    /// The requested plan is valid but not supported by the selected
-    /// backend (e.g. a recursive plan on the legacy view engine).
-    Unsupported(String),
 }
 
 impl fmt::Display for CircuitError {
@@ -140,7 +136,6 @@ impl fmt::Display for CircuitError {
             CircuitError::InconsistentDelta(nw) => {
                 write!(f, "inconsistent delta stream: {nw}")
             }
-            CircuitError::Unsupported(what) => write!(f, "unsupported: {what}"),
         }
     }
 }
@@ -173,14 +168,13 @@ impl From<NegativeWeight> for CircuitError {
     }
 }
 
-/// Work counters for circuit maintenance (the circuit analogue of
-/// [`crate::view::ViewStats`], plus recursion counters).
+/// Work counters for view maintenance (the |Δ|-proportional analogue of
+/// [`crate::exec::ExecStats`]), plus recursion counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CircuitStats {
     /// Delta batches applied.
     pub deltas_applied: u64,
-    /// Delta rows processed across all operator nodes (excludes the initial
-    /// full evaluation).
+    /// Base tuples read during initialization (one full evaluation).
     pub init_tuples_scanned: u64,
     /// Delta rows processed across all operator nodes during `apply_delta`
     /// (the |Δ|-proportional cost the paper's Eq. 6 argues for).
@@ -200,29 +194,30 @@ pub struct CircuitStats {
 struct BatchInput<'a> {
     deltas: Option<&'a DeltaSet>,
     full: Option<&'a BTreeMap<Arc<str>, CountedSet>>,
-    rec: Option<(&'a str, &'a ZSet)>,
+    rec: Option<(&'a str, &'a CountedSet)>,
 }
 
-/// A borrowed or owned per-node output delta for one batch.
+/// A per-node output delta for one batch. `Borrowed` lets an input node
+/// hand the batch's own set through without copying it; `Empty` is the
+/// zero-allocation result of a short-circuited subtree.
 enum DOut<'a> {
     Empty,
-    Counted(&'a CountedSet),
-    Zs(&'a ZSet),
-    Owned(ZSet),
+    Borrowed(&'a CountedSet),
+    Owned(CountedSet),
 }
 
 impl<'a> BatchInput<'a> {
     fn relation(&self, name: &str) -> Option<DOut<'a>> {
         if let Some((rn, z)) = self.rec {
             if rn == name {
-                return Some(DOut::Zs(z));
+                return Some(DOut::Borrowed(z));
             }
         }
         if let Some(full) = self.full {
-            return full.get(name).map(DOut::Counted);
+            return full.get(name).map(DOut::Borrowed);
         }
         if let Some(ds) = self.deltas {
-            return ds.for_relation(name).map(DOut::Counted);
+            return ds.for_relation(name).map(DOut::Borrowed);
         }
         None
     }
@@ -233,39 +228,31 @@ impl<'a> BatchInput<'a> {
 }
 
 impl<'a> DOut<'a> {
-    fn iter(&self) -> Box<dyn Iterator<Item = (&Tuple, i64)> + '_> {
+    fn as_set(&self) -> Option<&CountedSet> {
         match self {
-            DOut::Empty => Box::new(std::iter::empty()),
-            DOut::Counted(s) => Box::new(s.iter()),
-            DOut::Zs(z) => Box::new(z.iter()),
-            DOut::Owned(z) => Box::new(z.iter()),
+            DOut::Empty => None,
+            DOut::Borrowed(s) => Some(s),
+            DOut::Owned(s) => Some(s),
         }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> {
+        self.as_set().into_iter().flat_map(CountedSet::iter)
     }
 
     fn count(&self, t: &Tuple) -> i64 {
-        match self {
-            DOut::Empty => 0,
-            DOut::Counted(s) => s.count(t),
-            DOut::Zs(z) => z.weight(t),
-            DOut::Owned(z) => z.weight(t),
-        }
+        self.as_set().map_or(0, |s| s.count(t))
     }
 
     fn distinct_len(&self) -> usize {
-        match self {
-            DOut::Empty => 0,
-            DOut::Counted(s) => s.distinct_len(),
-            DOut::Zs(z) => z.distinct_len(),
-            DOut::Owned(z) => z.distinct_len(),
-        }
+        self.as_set().map_or(0, CountedSet::distinct_len)
     }
 
-    fn into_zset(self) -> ZSet {
+    fn into_owned(self) -> CountedSet {
         match self {
-            DOut::Empty => ZSet::new(),
-            DOut::Counted(s) => ZSet::from_counted(s),
-            DOut::Zs(z) => z.clone(),
-            DOut::Owned(z) => z,
+            DOut::Empty => CountedSet::new(),
+            DOut::Borrowed(s) => s.clone(),
+            DOut::Owned(s) => s,
         }
     }
 }
@@ -274,7 +261,7 @@ impl<'a> DOut<'a> {
 /// parents; the last node is the root). The flat layout is what lets one
 /// sweep drive the whole circuit with per-node outputs in a side vector —
 /// no recursion, no tree walks.
-struct Flow {
+pub(crate) struct Flow {
     nodes: Vec<CNode>,
 }
 
@@ -306,16 +293,16 @@ enum CKind {
     Product {
         left: usize,
         right: usize,
-        left_state: ZSet,
-        right_state: ZSet,
+        left_state: CountedSet,
+        right_state: CountedSet,
     },
     Join {
         left: usize,
         right: usize,
         lk: Vec<usize>,
         rk: Vec<usize>,
-        left_state: TupleMap<ZSet>,
-        right_state: TupleMap<ZSet>,
+        left_state: TupleMap<CountedSet>,
+        right_state: TupleMap<CountedSet>,
         scratch: Vec<Value>,
     },
     Aggregate {
@@ -329,7 +316,7 @@ enum CKind {
     },
     Distinct {
         child: usize,
-        state: ZSet,
+        state: CountedSet,
     },
     Union {
         left: usize,
@@ -339,10 +326,52 @@ enum CKind {
         left: usize,
         right: usize,
         kind: SetOpKind,
-        left_state: ZSet,
-        right_state: ZSet,
+        left_state: CountedSet,
+        right_state: CountedSet,
     },
     Fixpoint(Box<FixpointNode>),
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SetOpKind {
+    Difference,
+    Intersect,
+}
+
+impl SetOpKind {
+    /// Output multiplicity of a tuple given its input multiplicities.
+    fn out_count(self, l: i64, r: i64) -> i64 {
+        match self {
+            SetOpKind::Difference => (l - r).max(0),
+            SetOpKind::Intersect => l.min(r).max(0),
+        }
+    }
+}
+
+/// One γ group's running state.
+struct GroupState {
+    /// Total input multiplicity in the group (existence test: n > 0, except
+    /// the global group which always exists).
+    n: i64,
+    accs: Vec<AggAcc>,
+}
+
+impl GroupState {
+    fn new(specs: &[AggSpec]) -> Self {
+        GroupState {
+            n: 0,
+            accs: specs.iter().map(AggAcc::new).collect(),
+        }
+    }
+
+    /// Assembles the group's output row through a reusable buffer: one
+    /// tuple allocation, no intermediate `Vec` per call.
+    fn output(&self, key: &[Value], buf: &mut Vec<Value>) -> Tuple {
+        buf.clear();
+        buf.extend_from_slice(key);
+        buf.extend(self.accs.iter().map(AggAcc::finish));
+        Tuple::from_slice(buf)
+    }
 }
 
 /// The μ node: two nested sub-circuits plus maintained copies of the source
@@ -362,9 +391,9 @@ struct FixpointNode {
     rels: BTreeMap<Arc<str>, CountedSet>,
     /// Set semantics: derivation counts per tuple (how many ways it is
     /// currently derivable). Bag semantics: mirror of `out`.
-    derived: ZSet,
+    derived: CountedSet,
     /// The node's current output snapshot.
-    out: ZSet,
+    out: CountedSet,
 }
 
 #[inline]
@@ -376,17 +405,17 @@ fn bump(stats: &mut CircuitStats, on: bool, n: u64) {
 
 /// Adds `(t, c)` into a keyed index, dropping key entries that empty out so
 /// stale keys never accumulate.
-fn insert_keyed(state: &mut TupleMap<ZSet>, fp: u64, key: &[Value], t: &Tuple, c: i64) {
-    let set = state.get_or_insert_with(fp, key, ZSet::new);
+fn insert_keyed(state: &mut TupleMap<CountedSet>, fp: u64, key: &[Value], t: &Tuple, c: i64) {
+    let set = state.get_or_insert_with(fp, key, CountedSet::new);
     set.add(t.clone(), c);
     if set.is_empty() {
         state.remove(fp, key);
     }
 }
 
-fn merge_dout(state: &mut ZSet, d: &DOut<'_>) {
-    for (t, c) in d.iter() {
-        state.add(t.clone(), c);
+fn merge_dout(state: &mut CountedSet, d: &DOut<'_>) {
+    if let Some(s) = d.as_set() {
+        state.merge(s);
     }
 }
 
@@ -396,11 +425,11 @@ fn merge_dout(state: &mut ZSet, d: &DOut<'_>) {
 /// executor's iterated-naive accumulation), so non-monotone steps converge
 /// to the same answer as the oracle or hit the cap.
 fn absorb(
-    d: ZSet,
-    derived: &mut ZSet,
-    out: &mut ZSet,
-    newly: &mut ZSet,
-    out_delta: Option<&mut ZSet>,
+    d: CountedSet,
+    derived: &mut CountedSet,
+    out: &mut CountedSet,
+    newly: &mut CountedSet,
+    out_delta: Option<&mut CountedSet>,
 ) {
     let mut delta = out_delta;
     for (t, w) in d.iter() {
@@ -425,7 +454,7 @@ impl FixpointNode {
         stats: &mut CircuitStats,
         init: bool,
         count_work: bool,
-    ) -> Result<ZSet, CircuitError> {
+    ) -> Result<CountedSet, CircuitError> {
         if init {
             self.rels.clear();
             if let Some(full) = input.full {
@@ -466,8 +495,8 @@ impl FixpointNode {
     fn rebuild(&mut self, stats: &mut CircuitStats, count_work: bool) -> Result<(), CircuitError> {
         self.base.reset();
         self.step.reset();
-        self.derived = ZSet::new();
-        self.out = ZSet::new();
+        self.derived = CountedSet::new();
+        self.out = CountedSet::new();
         let rels = &self.rels;
         let rec_name: &str = self.rec.as_ref();
         let cap = self.cap;
@@ -491,8 +520,8 @@ impl FixpointNode {
             // own incrementality turns that into Δstep exactly.
             derived.merge(&d_base);
             out.merge(&d_base);
-            let mut cur_step = ZSet::new(); // = step(rels, working)
-            let mut prev_working = ZSet::new();
+            let mut cur_step = CountedSet::new(); // = step(rels, working)
+            let mut prev_working = CountedSet::new();
             let mut working = d_base;
             let mut first = true;
             let mut iters: usize = 0;
@@ -520,7 +549,7 @@ impl FixpointNode {
         } else {
             // Set semantics (`UNION`): semi-naive over derivation counts.
             // Each iteration feeds only the newly derived frontier.
-            let mut frontier = ZSet::new();
+            let mut frontier = CountedSet::new();
             absorb(d_base, derived, out, &mut frontier, None);
             let mut first = true;
             let mut iters: usize = 0;
@@ -536,7 +565,7 @@ impl FixpointNode {
                     rec: Some((rec_name, &frontier)),
                 };
                 let d_step = step.run(&inp, stats, first, count_work)?;
-                let mut next = ZSet::new();
+                let mut next = CountedSet::new();
                 absorb(d_step, derived, out, &mut next, None);
                 if next.is_empty() {
                     break;
@@ -556,7 +585,7 @@ impl FixpointNode {
         input: &BatchInput<'_>,
         stats: &mut CircuitStats,
         count_work: bool,
-    ) -> Result<ZSet, CircuitError> {
+    ) -> Result<CountedSet, CircuitError> {
         let rec_name: &str = self.rec.as_ref();
         let cap = self.cap;
         let base = &mut self.base;
@@ -564,14 +593,14 @@ impl FixpointNode {
         let derived = &mut self.derived;
         let out = &mut self.out;
 
-        let mut out_delta = ZSet::new();
+        let mut out_delta = CountedSet::new();
         let base_inp = BatchInput {
             deltas: input.deltas,
             full: None,
             rec: None,
         };
         let d_base = base.run(&base_inp, stats, false, count_work)?;
-        let mut frontier = ZSet::new();
+        let mut frontier = CountedSet::new();
         absorb(d_base, derived, out, &mut frontier, Some(&mut out_delta));
 
         let step_touched = input.deltas.is_some_and(|ds| {
@@ -594,7 +623,7 @@ impl FixpointNode {
                     rec: Some((rec_name, &frontier)),
                 };
                 let d_step = step.run(&inp, stats, false, count_work)?;
-                let mut next = ZSet::new();
+                let mut next = CountedSet::new();
                 absorb(d_step, derived, out, &mut next, Some(&mut out_delta));
                 if next.is_empty() {
                     break;
@@ -638,7 +667,7 @@ impl CNode {
             },
             CKind::Select { child, pred } => {
                 let d = &outs[*child];
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 for (t, c) in d.iter() {
                     bump(stats, count_work, 1);
                     if pred.matches(t) {
@@ -649,7 +678,7 @@ impl CNode {
             }
             CKind::Project { child, indices } => {
                 let d = &outs[*child];
-                let mut out = ZSet::with_capacity(d.distinct_len());
+                let mut out = CountedSet::with_capacity(d.distinct_len());
                 for (t, c) in d.iter() {
                     bump(stats, count_work, 1);
                     out.add(t.project(indices), c);
@@ -664,7 +693,7 @@ impl CNode {
             } => {
                 let dl = &outs[*left];
                 let dr = &outs[*right];
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 // ΔL × R_old
                 for (lt, lc) in dl.iter() {
                     for (rt, rc) in right_state.iter() {
@@ -694,7 +723,7 @@ impl CNode {
             } => {
                 let dl = &outs[*left];
                 let dr = &outs[*right];
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 // ΔL ⋈ R_old, folding ΔL into the left index as we go; one
                 // key projection and fingerprint per row, shared between the
                 // probe and the insert. NULL join keys match nothing.
@@ -776,9 +805,12 @@ impl CNode {
                         acc.update(spec, t, c);
                     }
                 }
-                // Diff old vs new output per touched group (identical to
-                // the legacy engine's algorithm).
-                let mut out = ZSet::new();
+                // Diff old vs new output per touched group. A group whose
+                // aggregate values ended up unchanged (e.g. an update moving
+                // a row between two states no aggregate observes) is
+                // detected by comparing the finished accumulators against
+                // the old snapshot *before* allocating a new output row.
+                let mut out = CountedSet::new();
                 for (key, old) in touched.iter() {
                     let fp = key.fingerprint();
                     let alive = match groups.get(fp, key.values()) {
@@ -814,10 +846,10 @@ impl CNode {
             }
             CKind::Distinct { child, state } => {
                 let d = &outs[*child];
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 for (t, c) in d.iter() {
                     bump(stats, count_work, 1);
-                    let old = state.weight(t);
+                    let old = state.count(t);
                     let new = state.add(t.clone(), c);
                     if new < 0 {
                         return Err(CircuitError::InconsistentDelta(NegativeWeight {
@@ -837,7 +869,7 @@ impl CNode {
                 let dl = &outs[*left];
                 let dr = &outs[*right];
                 bump(stats, count_work, dr.distinct_len() as u64);
-                let mut out = ZSet::with_capacity(dl.distinct_len() + dr.distinct_len());
+                let mut out = CountedSet::with_capacity(dl.distinct_len() + dr.distinct_len());
                 merge_dout(&mut out, dl);
                 merge_dout(&mut out, dr);
                 DOut::Owned(out)
@@ -851,17 +883,17 @@ impl CNode {
             } => {
                 let dl = &outs[*left];
                 let dr = &outs[*right];
-                let mut out = ZSet::new();
+                let mut out = CountedSet::new();
                 // Re-derive the output count of every touched tuple.
                 for t in dl.iter().map(|(t, _)| t).chain(dr.iter().map(|(t, _)| t)) {
                     bump(stats, count_work, 1);
-                    if out.weight(t) != 0 {
+                    if out.count(t) != 0 {
                         continue; // handled from the other delta already
                     }
-                    let old = kind.out_count(left_state.weight(t), right_state.weight(t));
+                    let old = kind.out_count(left_state.count(t), right_state.count(t));
                     let new = kind.out_count(
-                        left_state.weight(t) + dl.count(t),
-                        right_state.weight(t) + dr.count(t),
+                        left_state.count(t) + dl.count(t),
+                        right_state.count(t) + dr.count(t),
                     );
                     out.add(t.clone(), new - old);
                 }
@@ -875,7 +907,13 @@ impl CNode {
 }
 
 impl Flow {
-    fn compile(plan: &Plan, db: &Database, rec: Option<&Arc<str>>) -> Result<Flow, CircuitError> {
+    /// Compiles `plan`; `rec` names the enclosing fixpoint's recursive
+    /// relation when compiling a step term (`None` at top level).
+    pub(crate) fn compile(
+        plan: &Plan,
+        db: &Database,
+        rec: Option<&Arc<str>>,
+    ) -> Result<Flow, CircuitError> {
         let mut nodes = Vec::new();
         compile_into(plan, db, rec, &mut nodes)?;
         Ok(Flow { nodes })
@@ -890,13 +928,13 @@ impl Flow {
         stats: &mut CircuitStats,
         init: bool,
         count_work: bool,
-    ) -> Result<ZSet, CircuitError> {
+    ) -> Result<CountedSet, CircuitError> {
         let mut outs: Vec<DOut<'_>> = Vec::with_capacity(self.nodes.len());
         for node in &mut self.nodes {
             let out = node.step(input, &outs, stats, init, count_work)?;
             outs.push(out);
         }
-        Ok(outs.pop().map(DOut::into_zset).unwrap_or_default())
+        Ok(outs.pop().map(DOut::into_owned).unwrap_or_default())
     }
 
     /// Clears all operator state, returning the flow to its pre-init form.
@@ -908,8 +946,8 @@ impl Flow {
                     right_state,
                     ..
                 } => {
-                    *left_state = ZSet::new();
-                    *right_state = ZSet::new();
+                    *left_state = CountedSet::new();
+                    *right_state = CountedSet::new();
                 }
                 CKind::Join {
                     left_state,
@@ -925,21 +963,21 @@ impl Flow {
                     groups.clear();
                     touched.clear();
                 }
-                CKind::Distinct { state, .. } => *state = ZSet::new(),
+                CKind::Distinct { state, .. } => *state = CountedSet::new(),
                 CKind::SetOp {
                     left_state,
                     right_state,
                     ..
                 } => {
-                    *left_state = ZSet::new();
-                    *right_state = ZSet::new();
+                    *left_state = CountedSet::new();
+                    *right_state = CountedSet::new();
                 }
                 CKind::Fixpoint(fx) => {
                     fx.base.reset();
                     fx.step.reset();
                     fx.rels.clear();
-                    fx.derived = ZSet::new();
-                    fx.out = ZSet::new();
+                    fx.derived = CountedSet::new();
+                    fx.out = CountedSet::new();
                 }
                 CKind::Input { .. }
                 | CKind::RecInput { .. }
@@ -1050,8 +1088,8 @@ fn compile_into(
                 CKind::Product {
                     left: l,
                     right: r,
-                    left_state: ZSet::new(),
-                    right_state: ZSet::new(),
+                    left_state: CountedSet::new(),
+                    right_state: CountedSet::new(),
                 },
                 src,
             )
@@ -1111,7 +1149,7 @@ fn compile_into(
             (
                 CKind::Distinct {
                     child,
-                    state: ZSet::new(),
+                    state: CountedSet::new(),
                 },
                 src,
             )
@@ -1138,8 +1176,8 @@ fn compile_into(
                     left: l,
                     right: r,
                     kind,
-                    left_state: ZSet::new(),
-                    right_state: ZSet::new(),
+                    left_state: CountedSet::new(),
+                    right_state: CountedSet::new(),
                 },
                 src,
             )
@@ -1184,8 +1222,8 @@ fn compile_into(
                     base: base_flow,
                     step: step_flow,
                     rels: BTreeMap::new(),
-                    derived: ZSet::new(),
-                    out: ZSet::new(),
+                    derived: CountedSet::new(),
+                    out: CountedSet::new(),
                 })),
                 sources,
             )
@@ -1208,31 +1246,19 @@ fn compile_into(
     Ok(nodes.len() - 1)
 }
 
-/// A query answer maintained incrementally by a Z-set operator circuit.
-///
-/// The circuit analogue of [`crate::MaterializedView`]: compile once, feed
-/// [`DeltaSet`] batches, read the maintained answer. Unlike the legacy
-/// engine it supports [`Plan::Fixpoint`] (recursive queries) and surfaces
-/// typed errors instead of silently absorbing inconsistent streams.
-pub struct Circuit {
-    flow: Flow,
-    result: CountedSet,
-    columns: Vec<Arc<str>>,
-    sources: Vec<Arc<str>>,
-    stats: CircuitStats,
-}
-
-impl Circuit {
-    /// Compiles `plan` and runs the one-time full evaluation: every source
-    /// relation's contents are fed through the circuit as an insert-only
-    /// delta from empty state (initialization *is* the first delta).
-    pub fn new(plan: &Plan, db: &Database) -> Result<Self, CircuitError> {
-        let columns = plan.output_columns(db)?;
-        let mut flow = Flow::compile(plan, db, None)?;
-        let sources = plan.base_relations();
-        let mut stats = CircuitStats::default();
+impl Flow {
+    /// One-time full evaluation of a top-level flow: every source
+    /// relation's contents are fed through as an insert-only delta from
+    /// empty state (initialization *is* the first delta). Returns the
+    /// initial answer.
+    pub(crate) fn init(
+        &mut self,
+        db: &Database,
+        sources: &[Arc<str>],
+        stats: &mut CircuitStats,
+    ) -> Result<CountedSet, CircuitError> {
         let mut full: BTreeMap<Arc<str>, CountedSet> = BTreeMap::new();
-        for r in &sources {
+        for r in sources {
             let rel = db
                 .relation(r)
                 .map_err(|_| PlanError::UnknownRelation(r.to_string()))?;
@@ -1247,62 +1273,22 @@ impl Circuit {
             full: Some(&full),
             rec: None,
         };
-        let result = flow.run(&input, &mut stats, true, false)?.into_counted();
-        Ok(Circuit {
-            flow,
-            result,
-            columns,
-            sources,
-            stats,
-        })
+        self.run(&input, stats, true, false)
     }
 
-    /// Applies a world delta, updating the maintained answer and returning
-    /// the answer's own signed delta. Cost is Θ(|Δ|) plus join fan-out (and,
-    /// for recursive plans, the frontier iteration or rebuild).
-    ///
-    /// On error the circuit's state may be partially updated and the answer
-    /// should no longer be trusted; rebuild via [`Circuit::new`].
-    pub fn apply_delta(&mut self, deltas: &DeltaSet) -> Result<CountedSet, CircuitError> {
-        self.stats.deltas_applied += 1;
-        if !self
-            .sources
-            .iter()
-            .any(|r| deltas.for_relation(r).is_some())
-        {
-            return Ok(CountedSet::new());
-        }
+    /// Propagates one world delta through a top-level flow, returning the
+    /// root's output delta.
+    pub(crate) fn apply(
+        &mut self,
+        deltas: &DeltaSet,
+        stats: &mut CircuitStats,
+    ) -> Result<CountedSet, CircuitError> {
         let input = BatchInput {
             deltas: Some(deltas),
             full: None,
             rec: None,
         };
-        let out = self
-            .flow
-            .run(&input, &mut self.stats, false, true)?
-            .into_counted();
-        self.result.merge(&out);
-        Ok(out)
-    }
-
-    /// The current maintained answer multiset.
-    pub fn result(&self) -> &CountedSet {
-        &self.result
-    }
-
-    /// Output column names.
-    pub fn columns(&self) -> &[Arc<str>] {
-        &self.columns
-    }
-
-    /// Base relations this circuit reads (sorted, deduplicated).
-    pub fn source_relations(&self) -> &[Arc<str>] {
-        &self.sources
-    }
-
-    /// Work counters.
-    pub fn stats(&self) -> CircuitStats {
-        self.stats
+        self.run(&input, stats, false, true)
     }
 }
 
@@ -1314,6 +1300,7 @@ mod tests {
     use crate::schema::Schema;
     use crate::tuple;
     use crate::value::ValueType;
+    use crate::view::MaterializedView;
 
     fn link_db(edges: &[(i64, i64)]) -> Database {
         let mut db = Database::new();
@@ -1362,7 +1349,7 @@ mod tests {
     fn closure_matches_executor() {
         let db = link_db(&[(1, 2), (2, 3), (3, 4)]);
         let plan = closure_plan();
-        let circuit = Circuit::new(&plan, &db).unwrap();
+        let circuit = MaterializedView::new(&plan, &db).unwrap();
         let (oracle, _) = execute(&plan, &db).unwrap();
         assert_eq!(
             circuit.result().sorted_entries(),
@@ -1375,10 +1362,10 @@ mod tests {
     fn closure_incremental_insert_matches_recompute() {
         let mut db = link_db(&[(1, 2), (2, 3)]);
         let plan = closure_plan();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut circuit = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
         let recomputes = circuit.stats().fixpoint_recomputes;
-        circuit.apply_delta(&insert(&rel, 3, 4)).unwrap();
+        circuit.try_apply_delta(&insert(&rel, 3, 4)).unwrap();
         // Insert-only deltas on a monotone closure never force a rebuild.
         assert_eq!(circuit.stats().fixpoint_recomputes, recomputes);
         db.relation_mut("LINK")
@@ -1396,9 +1383,9 @@ mod tests {
     fn closure_incremental_retract_matches_recompute() {
         let mut db = link_db(&[(1, 2), (2, 3), (3, 4), (1, 4)]);
         let plan = closure_plan();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut circuit = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
-        circuit.apply_delta(&remove(&rel, 2, 3)).unwrap();
+        circuit.try_apply_delta(&remove(&rel, 2, 3)).unwrap();
         assert!(circuit.stats().fixpoint_recomputes >= 1);
         delete_row(&mut db, 2, 3);
         let (oracle, _) = execute(&plan, &db).unwrap();
@@ -1413,7 +1400,7 @@ mod tests {
         // Set semantics converge on cyclic graphs.
         let db = link_db(&[(1, 2), (2, 3), (3, 1)]);
         let plan = closure_plan();
-        let circuit = Circuit::new(&plan, &db).unwrap();
+        let circuit = MaterializedView::new(&plan, &db).unwrap();
         assert_eq!(circuit.result().total(), 9); // complete digraph on the cycle
         let (oracle, _) = execute(&plan, &db).unwrap();
         assert_eq!(
@@ -1433,7 +1420,7 @@ mod tests {
             *all = true;
         }
         let plan = plan.with_fixpoint_cap(50);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert_eq!(err, CircuitError::IterationLimit { cap: 50 });
         // The executor oracle agrees that this diverges.
         assert!(matches!(
@@ -1450,7 +1437,7 @@ mod tests {
             .join_on(Plan::rec("REACH", &["c", "d"]), &[("b", "c")])
             .project(&["a", "d"]);
         let plan = Plan::scan("LINK").fixpoint(step, "REACH", &["a", "b"]);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert!(
             matches!(err, CircuitError::NonLinearRecursion { .. }),
             "{err}"
@@ -1462,7 +1449,7 @@ mod tests {
         let db = link_db(&[(1, 2)]);
         let step = Plan::rec("LINK", &["src", "dst"]);
         let plan = Plan::scan("LINK").fixpoint(step, "LINK", &["src", "dst"]);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert!(
             matches!(err, CircuitError::ShadowedRelation { .. }),
             "{err}"
@@ -1473,7 +1460,7 @@ mod tests {
     fn unbound_rec_is_rejected() {
         let db = link_db(&[(1, 2)]);
         let plan = Plan::rec("GHOST", &["a", "b"]);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert!(
             matches!(err, CircuitError::UnboundRecursion { .. }),
             "{err}"
@@ -1486,7 +1473,7 @@ mod tests {
         let inner =
             Plan::scan("LINK").fixpoint(Plan::rec("IN", &["src", "dst"]), "IN", &["src", "dst"]);
         let plan = Plan::scan("LINK").fixpoint(inner, "OUT", &["src", "dst"]);
-        let err = Circuit::new(&plan, &db).err().unwrap();
+        let err = MaterializedView::new(&plan, &db).err().unwrap();
         assert!(matches!(err, CircuitError::NestedRecursion { .. }), "{err}");
     }
 
@@ -1494,9 +1481,9 @@ mod tests {
     fn inconsistent_retraction_surfaces_typed_error() {
         let db = link_db(&[(1, 2)]);
         let plan = Plan::scan("LINK").distinct();
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut circuit = MaterializedView::new(&plan, &db).unwrap();
         let rel: Arc<str> = Arc::from("LINK");
-        let err = circuit.apply_delta(&remove(&rel, 9, 9)).unwrap_err();
+        let err = circuit.try_apply_delta(&remove(&rel, 9, 9)).unwrap_err();
         assert!(matches!(err, CircuitError::InconsistentDelta(_)), "{err}");
     }
 
@@ -1511,7 +1498,7 @@ mod tests {
             .project(&["a", "dst"])
             .difference(Plan::scan("LINK"));
         let plan = Plan::scan("LINK").fixpoint(step, "R", &["a", "b"]);
-        let mut circuit = Circuit::new(&plan, &db).unwrap();
+        let mut circuit = MaterializedView::new(&plan, &db).unwrap();
         let (oracle, _) = execute(&plan, &db).unwrap();
         assert_eq!(
             circuit.result().sorted_entries(),
@@ -1519,7 +1506,7 @@ mod tests {
         );
 
         let rel: Arc<str> = Arc::from("LINK");
-        circuit.apply_delta(&insert(&rel, 3, 4)).unwrap();
+        circuit.try_apply_delta(&insert(&rel, 3, 4)).unwrap();
         assert!(circuit.stats().fixpoint_recomputes >= 1);
         let mut db2 = link_db(&[(1, 2), (2, 3), (3, 4)]);
         let (oracle2, _) = execute(&plan, &db2).unwrap();
@@ -1528,7 +1515,7 @@ mod tests {
             oracle2.rows.sorted_entries()
         );
         delete_row(&mut db2, 1, 2);
-        circuit.apply_delta(&remove(&rel, 1, 2)).unwrap();
+        circuit.try_apply_delta(&remove(&rel, 1, 2)).unwrap();
         let (oracle3, _) = execute(&plan, &db2).unwrap();
         assert_eq!(
             circuit.result().sorted_entries(),
@@ -1545,6 +1532,6 @@ mod tests {
         } else {
             panic!("expected fixpoint plan");
         }
-        Circuit::new(&plan, &db).unwrap();
+        MaterializedView::new(&plan, &db).unwrap();
     }
 }

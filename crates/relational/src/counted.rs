@@ -1,15 +1,28 @@
-//! Counted multisets of tuples.
+//! Counted multisets of tuples (Z-sets).
 //!
 //! §4.2 of the paper remarks that in the presence of projections the set
 //! difference/union of Eq. 6 "actually requires multiset semantics, because
 //! counters need to be maintained" (Blakeley et al.). [`CountedSet`] is that
-//! structure: a map from tuple to signed multiplicity. Deltas are represented
-//! as counted sets with negative entries for removals, which makes delta
-//! propagation through the operator tree a sequence of signed merges.
+//! structure: a map from tuple to signed multiplicity — a Z-set in DBSP
+//! terms. A *relation state* has strictly positive multiplicities; a *delta*
+//! may carry either sign, a negative entry being a retraction. It is the one
+//! multiset type of the crate: the Δ⁻/Δ⁺ transport in [`crate::DeltaSet`],
+//! the executor's answers, and every view-circuit operator's input, output
+//! and state, so applying a delta to a state is plain addition.
+//!
+//! `CountedSet` forms a commutative group under [`CountedSet::merge`]
+//! (associative, commutative, identity = empty, inverse =
+//! [`CountedSet::negated`]); `tests/prop_counted.rs` checks these laws on
+//! random values. Multiplicities that cancel to zero are removed eagerly, so
+//! two sets are equal iff they hold the same counted tuples. The checked
+//! state update [`CountedSet::apply_checked`] reports a retraction of a
+//! tuple the state never held as a typed [`NegativeWeight`] instead of
+//! letting the count go negative.
 
 use crate::fasthash::FxHashMap;
 use crate::tuple::Tuple;
 use std::collections::hash_map;
+use std::fmt;
 
 /// A multiset of tuples with signed multiplicities.
 ///
@@ -24,6 +37,30 @@ use std::collections::hash_map;
 pub struct CountedSet {
     counts: FxHashMap<Tuple, i64>,
 }
+
+/// Typed error for a checked state update that would drive a multiplicity
+/// negative: a retraction of a tuple the state never held (or held fewer
+/// times). On a consistent delta stream this cannot happen; seeing it means
+/// the caller fed a Δ⁻ image that does not match the stored world.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NegativeWeight {
+    /// The tuple whose multiplicity would have gone negative.
+    pub tuple: Tuple,
+    /// The multiplicity the update would have produced (strictly negative).
+    pub weight: i64,
+}
+
+impl fmt::Display for NegativeWeight {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "retraction without matching insertion: tuple {} would reach weight {}",
+            self.tuple, self.weight
+        )
+    }
+}
+
+impl std::error::Error for NegativeWeight {}
 
 impl CountedSet {
     /// Creates an empty multiset.
@@ -43,6 +80,16 @@ impl CountedSet {
         let mut s = CountedSet::new();
         for t in iter {
             s.add(t, 1);
+        }
+        s
+    }
+
+    /// Builds a set from `(tuple, multiplicity)` pairs (multiplicities
+    /// coalesce).
+    pub fn from_entries<I: IntoIterator<Item = (Tuple, i64)>>(iter: I) -> Self {
+        let mut s = CountedSet::new();
+        for (t, c) in iter {
+            s.add(t, c);
         }
         s
     }
@@ -134,11 +181,39 @@ impl CountedSet {
         out
     }
 
-    /// Negates every multiplicity (turns Δ⁺ into Δ⁻ and vice versa).
+    /// Negates every multiplicity (turns Δ⁺ into Δ⁻ and vice versa) — the
+    /// group inverse.
     pub fn negated(&self) -> CountedSet {
         CountedSet {
             counts: self.counts.iter().map(|(t, c)| (t.clone(), -c)).collect(),
         }
+    }
+
+    /// `distinct`: the positive support at multiplicity one — the image of
+    /// set semantics. Negative entries are dropped.
+    pub fn distinct(&self) -> CountedSet {
+        CountedSet {
+            counts: self.support().map(|t| (t.clone(), 1)).collect(),
+        }
+    }
+
+    /// Checked state update: merges `delta` into this state, requiring every
+    /// resulting multiplicity to stay non-negative. On violation the state
+    /// is left **unchanged** (the update is transactional) and the offending
+    /// tuple is reported — the typed surface for the "retraction of a
+    /// never-inserted tuple" bug class.
+    pub fn apply_checked(&mut self, delta: &CountedSet) -> Result<(), NegativeWeight> {
+        for (t, c) in delta.iter() {
+            let after = self.count(t) + c;
+            if c < 0 && after < 0 {
+                return Err(NegativeWeight {
+                    tuple: t.clone(),
+                    weight: after,
+                });
+            }
+        }
+        self.merge(delta);
+        Ok(())
     }
 
     /// Sorted snapshot of the positive support (deterministic, for tests and
@@ -254,6 +329,42 @@ mod tests {
         assert_eq!(n.count(&tuple!["x"]), -1);
         assert_eq!(n.count(&tuple!["y"]), 1);
         assert!(n.check_is_state().is_some());
+    }
+
+    #[test]
+    fn distinct_clamps_to_unit_multiplicity() {
+        let s = CountedSet::from_entries(vec![(tuple!["a"], 5), (tuple!["b"], -2)]);
+        let d = s.distinct();
+        assert_eq!(d.count(&tuple!["a"]), 1);
+        assert_eq!(d.count(&tuple!["b"]), 0);
+        assert!(d.check_is_state().is_none());
+    }
+
+    #[test]
+    fn checked_apply_rejects_unmatched_retraction() {
+        let mut s = CountedSet::from_entries(vec![(tuple!["present"], 1)]);
+        let bad = CountedSet::from_entries(vec![(tuple!["ghost"], -1)]);
+        let err = s.apply_checked(&bad).unwrap_err();
+        assert_eq!(err.tuple, tuple!["ghost"]);
+        assert_eq!(err.weight, -1);
+        // Transactional: the state is untouched.
+        assert_eq!(s.sorted_entries(), vec![(tuple!["present"], 1)]);
+        // A matched retraction passes.
+        let good = CountedSet::from_entries(vec![(tuple!["present"], -1)]);
+        s.apply_checked(&good).unwrap();
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn checked_apply_error_displays_tuple() {
+        let mut s = CountedSet::new();
+        let bad = CountedSet::from_entries(vec![(tuple!["ghost"], -2)]);
+        let msg = s.apply_checked(&bad).unwrap_err().to_string();
+        assert!(
+            msg.contains("retraction without matching insertion"),
+            "{msg}"
+        );
+        assert!(msg.contains("-2"), "{msg}");
     }
 
     #[test]

@@ -1,8 +1,22 @@
 //! Property tests for counted-multiset algebra — the foundation of the
-//! multiset semantics the paper's §4.2 Remark requires under projection.
+//! multiset semantics the paper's §4.2 Remark requires under projection,
+//! and the value domain of every view-circuit operator.
+//!
+//! [`CountedSet`] must be a commutative group under merge (identity =
+//! empty, inverse = negation), with eager zero-coalescing so equality is
+//! structural, plus the checked-apply contract: a retraction with no
+//! matching insertion is a typed, transactional error — and that same bug
+//! class surfaces as [`CircuitError::InconsistentDelta`] when it reaches
+//! δ/γ operator state.
 
-use fgdb_relational::{CountedSet, Tuple, Value};
+mod common;
+
+use common::random_db;
+use fgdb_relational::parser::parse_plan;
+use fgdb_relational::planner::optimize;
+use fgdb_relational::{tuple, CircuitError, CountedSet, DeltaSet, MaterializedView, Tuple, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn tuple_strategy() -> impl Strategy<Value = Tuple> {
     (0i64..5, 0i64..3).prop_map(|(a, b)| Tuple::new(vec![Value::Int(a), Value::Int(b)]))
@@ -107,4 +121,118 @@ proptest! {
         }
         prop_assert!(s.check_is_state().is_none());
     }
+
+    /// Zero-coalescing: multiplicities that cancel leave no entry behind,
+    /// so no set ever reports a zero multiplicity as present.
+    #[test]
+    fn coalesce_to_zero_means_absent(v in entries_strategy()) {
+        let z = CountedSet::from_entries(v);
+        for (t, w) in z.iter() {
+            prop_assert_ne!(w, 0, "zero-weight entry for {:?}", t);
+        }
+        // Adding the negation of any entry removes it entirely.
+        let first = z.iter().next().map(|(t, w)| (t.clone(), w));
+        if let Some((t, w)) = first {
+            let mut z2 = z.clone();
+            z2.add(t.clone(), -w);
+            prop_assert_eq!(z2.count(&t), 0);
+            prop_assert_eq!(z2.distinct_len(), z.distinct_len() - 1);
+        }
+    }
+
+    /// Group laws: merge is commutative and associative, empty is the
+    /// identity, and negation is the inverse.
+    #[test]
+    fn merge_is_a_commutative_group(a in entries_strategy(), b in entries_strategy(), c in entries_strategy()) {
+        let za = CountedSet::from_entries(a);
+        let zb = CountedSet::from_entries(b);
+        let zc = CountedSet::from_entries(c);
+
+        let mut ab = za.clone(); ab.merge(&zb);
+        let mut ba = zb.clone(); ba.merge(&za);
+        prop_assert_eq!(ab.sorted_entries(), ba.sorted_entries(), "commutativity");
+
+        let mut ab_c = ab.clone(); ab_c.merge(&zc);
+        let mut bc = zb.clone(); bc.merge(&zc);
+        let mut a_bc = za.clone(); a_bc.merge(&bc);
+        prop_assert_eq!(ab_c.sorted_entries(), a_bc.sorted_entries(), "associativity");
+
+        let mut id = za.clone(); id.merge(&CountedSet::new());
+        prop_assert_eq!(id.sorted_entries(), za.sorted_entries(), "identity");
+
+        let mut inv = za.clone(); inv.merge(&za.negated());
+        prop_assert!(inv.is_empty(), "inverse: {:?}", inv.sorted_entries());
+        prop_assert_eq!(za.negated().negated(), za.clone(), "involution");
+
+        // merge_owned agrees with merge.
+        let mut owned = za.clone(); owned.merge_owned(zb.clone());
+        let mut borrowed = za.clone(); borrowed.merge(&zb);
+        prop_assert_eq!(owned, borrowed);
+
+        // Totals are additive.
+        prop_assert_eq!(ab.total(), za.total() + zb.total());
+    }
+
+    /// δ projects onto unit-multiplicity positive support, idempotently.
+    #[test]
+    fn distinct_is_idempotent_unit_support(v in entries_strategy()) {
+        let z = CountedSet::from_entries(v);
+        let d = z.distinct();
+        prop_assert!(d.check_is_state().is_none());
+        prop_assert_eq!(d.distinct(), d.clone());
+        prop_assert_eq!(d.sorted_support(), z.sorted_support());
+        for (_, w) in d.iter() {
+            prop_assert_eq!(w, 1);
+        }
+    }
+
+    /// `apply_checked` either applies the whole delta (all multiplicities
+    /// stay non-negative) or rejects it leaving the state bit-identical.
+    #[test]
+    fn checked_apply_is_transactional(a in entries_strategy(), d in entries_strategy()) {
+        // States have positive multiplicities; build one by taking |w|.
+        let mut state = CountedSet::new();
+        for (t, w) in CountedSet::from_entries(a).iter() {
+            state.add(t.clone(), w.abs());
+        }
+        let delta = CountedSet::from_entries(d);
+        let before = state.sorted_entries();
+        match state.apply_checked(&delta) {
+            Ok(()) => {
+                prop_assert!(state.iter().all(|(_, w)| w >= 0));
+                let mut expect = CountedSet::from_entries(before);
+                expect.merge(&delta);
+                prop_assert_eq!(state.sorted_entries(), expect.sorted_entries());
+            }
+            Err(e) => {
+                prop_assert!(e.weight < 0, "typed error carries the offending weight");
+                prop_assert_eq!(state.sorted_entries(), before, "state must be untouched");
+            }
+        }
+    }
+}
+
+/// Regression: a retraction of a never-inserted tuple must surface as a
+/// typed [`CircuitError::InconsistentDelta`] through *aggregate* operator
+/// state (the δ path is covered in `prop_circuit.rs`), not as a panic or a
+/// silently negative group count.
+#[test]
+fn phantom_retraction_through_aggregate_is_typed() {
+    let db = random_db(7);
+    let plan = parse_plan("SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id").unwrap();
+    let opt = optimize(&plan, &db).unwrap();
+    let mut view = MaterializedView::new(&opt, &db).unwrap();
+    let mut deltas = DeltaSet::new();
+    // doc_id 777 has no rows, so its COUNT would go negative — a phantom
+    // retraction inside an existing group merely decrements, which is what
+    // a legitimate delete looks like and must stay legal.
+    deltas.record_delete(
+        &Arc::from("TOKEN"),
+        tuple![424_242i64, 777i64, "ghost", "O", "O", Value::Null],
+    );
+    let err = view.try_apply_delta(&deltas).unwrap_err();
+    assert!(
+        matches!(err, CircuitError::InconsistentDelta(_)),
+        "expected InconsistentDelta, got {err:?}"
+    );
 }

@@ -5,7 +5,7 @@
 //! document-block slice of the world (`TokenSeqData::shard_map`); the
 //! merged per-shard delta batches drive the store write-back and a
 //! materialized Query-1 view, exactly as in production
-//! (`ProbabilisticDB::step_sharded`). Walkers use *uniform* relabel
+//! (`ProbabilisticDB::shard`, then `ProbabilisticDB::step`). Walkers use *uniform* relabel
 //! proposals: the single-shard baseline random-walks the entire corpus
 //! working set (world + token arrays + skip CSR — tens of MB at 10⁶–10⁷
 //! tokens, far beyond L2), while each of N shards touches only a 1/N
@@ -130,11 +130,11 @@ fn main() {
 
         let mut baseline: Option<f64> = None;
         for &shards in &shards_list {
-            let map = Arc::new(setup.data.shard_map(shards).expect("by-document shards"));
-            let mut sampler = setup
+            let map = setup.data.shard_map(shards).expect("by-document shards");
+            setup
                 .pdb
-                .sharded_sampler(
-                    Arc::clone(&map),
+                .shard(
+                    &map,
                     |_, vars| Box::new(UniformRelabel::new(vars.to_vec())) as Box<dyn Proposer>,
                     42,
                 )
@@ -145,21 +145,21 @@ fn main() {
             let k = INTERVAL_PROPOSALS / shards;
 
             // Warm-up interval: page the shard slices in, untimed.
-            let d = setup.pdb.step_sharded(&mut sampler, k).expect("warm-up");
+            let d = setup.pdb.step(k).expect("warm-up");
             view.apply_delta(&d);
-            let stats0 = sampler.stats();
+            let stats0 = setup.pdb.kernel_stats();
 
             let mut staleness = Vec::with_capacity(INTERVALS);
             let t0 = Instant::now();
             for _ in 0..INTERVALS {
                 let ti = Instant::now();
-                let d = setup.pdb.step_sharded(&mut sampler, k).expect("interval");
+                let d = setup.pdb.step(k).expect("interval");
                 view.apply_delta(&d);
                 marginals.record(view.result());
                 staleness.push(ti.elapsed().as_secs_f64());
             }
             let elapsed = t0.elapsed().as_secs_f64();
-            let stats = sampler.stats();
+            let stats = setup.pdb.kernel_stats();
             let proposals = stats.proposals - stats0.proposals;
             let accepted = stats.accepted - stats0.accepted;
             let sps = proposals as f64 / elapsed;
@@ -170,7 +170,7 @@ fn main() {
             // Guard against a dead sampler being reported as "fast".
             assert_eq!(marginals.samples() as usize, INTERVALS);
             assert!(
-                shards_agree_with_master(&map, &sampler, setup.pdb.world()),
+                shards_agree_with_master(&map, &setup.pdb),
                 "shard world diverged from the merged master world"
             );
 
@@ -223,14 +223,10 @@ fn main() {
 /// after the merge point, the master world agrees with every shard's world
 /// on that shard's own variables (foreign slots in a shard world stay
 /// frozen and never enter its acceptance ratios).
-fn shards_agree_with_master(
-    map: &fgdb_graph::ShardMap,
-    sampler: &fgdb_mcmc::ShardedSampler<Arc<Crf>>,
-    master: &fgdb_graph::World,
-) -> bool {
+fn shards_agree_with_master(map: &fgdb_graph::ShardMap, pdb: &ProbabilisticDB<Arc<Crf>>) -> bool {
     for s in 0..map.num_shards() {
-        let local = sampler.shard_world(s).assignment();
-        let global = master.assignment();
+        let local = pdb.walkers().shard_world(s).assignment();
+        let global = pdb.world().assignment();
         let vars = map.variables(s);
         // Sample ~64 variables per shard instead of all 10⁶⁺.
         for &v in vars.iter().step_by(vars.len() / 64 + 1) {

@@ -6,9 +6,11 @@
 //! thinning interval — the Δ⁻/Δ⁺ delta set, the net variable changes that
 //! produced it, and the post-interval chain position (RNG state + kernel
 //! counters) — is appended to a checksummed write-ahead log before the call
-//! returns. [`DurablePdb::checkpoint`] serializes the full state and
-//! truncates the log; [`ProbabilisticDB::recover`] replays snapshot + WAL
-//! after a crash.
+//! returns; the changes are [`ProbabilisticDB::last_changes`] of the one
+//! [`ProbabilisticDB::step`], and only a single-shard database mounts (the
+//! chain record holds one RNG stream). [`DurablePdb::checkpoint`]
+//! serializes the full state and truncates the log;
+//! [`ProbabilisticDB::recover`] replays snapshot + WAL after a crash.
 //!
 //! The recovery contract, asserted end-to-end by
 //! `crates/core/tests/crash_recovery.rs`: a database recovered after a
@@ -100,6 +102,9 @@ pub enum DurableError {
     /// Recovered state failed validation against the supplied model or
     /// binding (e.g. the model's world shape disagrees with the snapshot).
     Invalid(String),
+    /// A database sampling with this many shards cannot be mounted: the
+    /// WAL's chain record holds one RNG stream.
+    Sharded(usize),
 }
 
 impl fmt::Display for DurableError {
@@ -108,6 +113,7 @@ impl fmt::Display for DurableError {
             DurableError::Durability(e) => write!(f, "durability error: {e}"),
             DurableError::Evaluate(e) => write!(f, "evaluate error: {e}"),
             DurableError::Invalid(m) => write!(f, "invalid recovered state: {m}"),
+            DurableError::Sharded(n) => write!(f, "cannot mount a {n}-shard database"),
         }
     }
 }
@@ -205,13 +211,15 @@ impl<M: Model> DurablePdb<M> {
     /// not durable, so callers should treat the store as poisoned.
     pub fn step(&mut self, k: usize) -> Result<DeltaSet, DurableError> {
         let seq = self.store.next_seq();
-        let (delta, changes) = self.pdb.step_logged(k)?;
+        let delta = self.pdb.step(k)?;
         // The record borrows nothing: the delta moves in for encoding and
         // moves back out to the caller afterwards — no per-interval clone
         // on the logged hot path.
         let rec = IntervalRecord {
             seq,
-            changes: changes
+            changes: self
+                .pdb
+                .last_changes()
                 .iter()
                 .map(|&(v, old, new)| (v.0, old as u16, new as u16))
                 .collect(),
@@ -318,7 +326,8 @@ impl<M: Model> ProbabilisticDB<M> {
     /// full snapshot of the current state and opens a fresh WAL. Subsequent
     /// intervals advance through [`DurablePdb::step`], each logged before
     /// it is acknowledged. Fails if `dir` already holds a store (recover it
-    /// instead — silently clobbering a durable state defeats the point).
+    /// instead — silently clobbering a durable state defeats the point), and
+    /// with [`DurableError::Sharded`] for a multi-shard database.
     pub fn open_durable(
         self,
         dir: &Path,
@@ -336,6 +345,10 @@ impl<M: Model> ProbabilisticDB<M> {
         dir: &Path,
         config: DurabilityConfig,
     ) -> Result<DurablePdb<M>, DurableError> {
+        match self.walkers().num_shards() {
+            1 => {}
+            n => return Err(DurableError::Sharded(n)),
+        }
         let snap = snapshot_of(&self, 0);
         let store = DurableStore::create_with_io(io, dir, &snap, config)?;
         Ok(DurablePdb { pdb: self, store })

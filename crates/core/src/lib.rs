@@ -4,9 +4,10 @@
 //!
 //! Ties the substrates together into the paper's system:
 //!
-//! * [`pdb`] — one stored deterministic world, a factor-graph model, and an
-//!   MCMC chain hypothesizing modifications that are written through to the
-//!   store as Δ⁻/Δ⁺ deltas (§3, §5);
+//! * [`pdb`] — one stored deterministic world, a factor-graph model, and
+//!   MCMC walkers (one shard by default) hypothesizing modifications that
+//!   one interval pipeline writes through to the store as Δ⁻/Δ⁺ deltas
+//!   (§3, §5);
 //! * [`marginals`] — per-tuple answer-membership estimation (Eq. 4/5);
 //! * [`evaluate`] — Algorithm 3 (naive re-execution) and Algorithm 1
 //!   (materialized-view maintenance) query evaluators, plus the parallel
@@ -21,10 +22,12 @@
 //! * [`durable`] — WAL-backed stepping and crash recovery on top of the
 //!   `fgdb-durability` storage engine: `ProbabilisticDB::open_durable`,
 //!   logged intervals, checkpoints, `ProbabilisticDB::recover`;
-//! * [`supervise`] — the durable store under the live serving loop: a
-//!   supervisor that survives storage faults and panics by bounded
-//!   restart-from-recovery, degrading (never corrupting) reader-visible
-//!   state in between.
+//! * [`serving`] — the one sampler loop and its epoch-published,
+//!   snapshot-isolated reader surface (`LiveSampler`, `EpochReader`);
+//! * [`supervise`] — the durable store under that same loop: WAL-logged
+//!   intervals, checkpoints, and bounded restart-from-recovery after
+//!   storage faults and panics, degrading (never corrupting)
+//!   reader-visible state in between.
 
 pub mod durable;
 pub mod engine;
@@ -44,8 +47,8 @@ pub use engine::{
 };
 pub use evaluate::{evaluate_parallel, EvaluateError, QueryEvaluator, SampleWork};
 pub use fgdb_durability::{DurabilityConfig, FsyncPolicy, RecoveryReport};
-pub use fgdb_graph::{FactorSpans, ShardError, ShardMap};
-pub use fgdb_mcmc::{shard_seed, ShardedSampler};
+pub use fgdb_graph::ShardMap;
+pub use fgdb_mcmc::ShardedSampler;
 pub use fgdb_relational::{compile_query, optimize, QueryError};
 pub use marginals::{MarginalTable, ValueDistribution};
 pub use metrics::{squared_error, time_to_half_loss, LossCurve, LossPoint};

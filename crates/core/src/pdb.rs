@@ -10,14 +10,20 @@
 //! performed on disk by the DBMS."
 //!
 //! A [`FieldBinding`] maps each hidden variable to a `(row, column)` of the
-//! stored relation. After every thinning interval the chain's net variable
-//! changes are written through to the relation, and the resulting tuple
-//! pre/post-images become the Δ⁻/Δ⁺ [`DeltaSet`] that drives view
-//! maintenance.
+//! stored relation. One interval pipeline serves every caller:
+//! [`ProbabilisticDB::step`] walks the MH walkers (a [`ShardedSampler`],
+//! single-shard unless [`ProbabilisticDB::shard`] re-partitioned it),
+//! merges their net variable changes into one batch, and commits it at the
+//! merge point — batch validation against the master world, then
+//! write-back — so the resulting tuple pre/post-images become the Δ⁻/Δ⁺
+//! [`DeltaSet`] that drives view maintenance. WAL replay
+//! ([`ProbabilisticDB::apply_logged_interval`]) commits through the same
+//! merge point, and a rejected batch has one rollback path: the walkers are
+//! resynchronized from the master world.
 
 use crate::evaluate::EvaluateError;
 use fgdb_graph::{FactorSpans, Model, ShardMap, VariableId, World};
-use fgdb_mcmc::{Chain, KernelStats, NetChange, Proposer, ShardedSampler};
+use fgdb_mcmc::{KernelStats, NetChange, Proposer, ShardedSampler};
 use fgdb_relational::{
     compile_query, execute, Database, DeltaSet, ExecStats, QueryResult, RowId, Value,
 };
@@ -66,17 +72,26 @@ impl FieldBinding {
     }
 }
 
-/// A probabilistic database: deterministic store + model + MCMC chain.
+/// A probabilistic database: deterministic store + model + MCMC walkers.
+///
+/// The walkers are a [`ShardedSampler`]: one shard by default (the
+/// sequential chain), re-partitioned with [`ProbabilisticDB::shard`]. The
+/// *master* world is the committed variable assignment, the one the store
+/// mirrors; walkers run ahead of it during an interval and are snapped back
+/// to it when the merge point rejects their batch.
 pub struct ProbabilisticDB<M> {
     db: Database,
-    chain: Chain<M>,
+    world: World,
+    walkers: ShardedSampler<M>,
     binding: FieldBinding,
+    last_changes: Vec<NetChange>,
 }
 
 impl<M: Model> ProbabilisticDB<M> {
     /// Assembles a probabilistic database. The world must already agree with
     /// the stored field values (both are normally initialized to the same
-    /// default, e.g. label "O").
+    /// default, e.g. label "O"). Sampling starts single-shard: one walker
+    /// with `proposer`, seeded with `seed`.
     ///
     /// # Errors
     /// Returns an error when the binding disagrees with the world's variable
@@ -113,8 +128,10 @@ impl<M: Model> ProbabilisticDB<M> {
         }
         Ok(ProbabilisticDB {
             db,
-            chain: Chain::new(model, proposer, world, seed),
+            walkers: ShardedSampler::single(model, proposer, world.clone(), seed),
+            world,
             binding,
+            last_changes: Vec::new(),
         })
     }
 
@@ -144,97 +161,130 @@ impl<M: Model> ProbabilisticDB<M> {
         Ok(execute(&plan, &self.db)?)
     }
 
-    /// The in-memory variable assignment.
+    /// The committed (master) variable assignment.
     pub fn world(&self) -> &World {
-        self.chain.world()
+        &self.world
     }
 
     /// The model.
     pub fn model(&self) -> &M {
-        self.chain.model()
+        self.walkers.model()
     }
 
-    /// Kernel statistics (proposals, acceptance, factor evaluations).
+    /// Kernel statistics (proposals, acceptance, factor evaluations),
+    /// summed over the walkers.
     pub fn kernel_stats(&self) -> KernelStats {
-        self.chain.stats()
+        self.walkers.stats()
     }
 
-    /// Total MCMC steps taken.
+    /// Total MCMC steps taken, summed over the walkers.
     pub fn steps_taken(&self) -> u64 {
-        self.chain.steps_taken()
+        self.walkers.steps_taken()
     }
 
-    /// Runs `k` MH walk-steps (the thinning interval of Algorithm 3), then
-    /// propagates the *net* variable changes to the stored relation and
-    /// returns them as a Δ⁻/Δ⁺ delta set.
+    /// The walkers (read-only): shard count, per-shard worlds, RNG states.
+    pub fn walkers(&self) -> &ShardedSampler<M> {
+        &self.walkers
+    }
+
+    /// The net variable changes the last successful [`Self::step`]
+    /// committed, sorted by variable — the replay script the durability
+    /// layer logs with the interval (see [`crate::durable`]). Empty after a
+    /// rejected step.
+    pub fn last_changes(&self) -> &[NetChange] {
+        &self.last_changes
+    }
+
+    /// Runs `k` MH walk-steps in every shard (the thinning interval of
+    /// Algorithm 3), merges the walkers' net variable changes into one
+    /// batch, commits it through [`Self::apply_logged_interval`]'s
+    /// validation and write-back, and returns the resulting Δ⁻/Δ⁺ delta
+    /// set. With one shard this is the sequential chain, bit for bit.
     ///
     /// The naive evaluator ignores the returned deltas and re-runs its
     /// query; the materialized evaluator feeds them to its views.
     ///
     /// # Errors
-    /// [`EvaluateError::Storage`] on write-back failures;
-    /// [`EvaluateError::Model`] when a proposal left a variable at an index
-    /// outside its domain (a malformed proposer must surface as an error on
-    /// the serving path, not abort the engine thread).
+    /// As [`Self::apply_logged_interval`]. On error nothing is written and
+    /// every walker is resynchronized from the master world, so the
+    /// database stays usable.
     pub fn step(&mut self, k: usize) -> Result<DeltaSet, EvaluateError> {
-        self.step_logged(k).map(|(deltas, _)| deltas)
-    }
-
-    /// [`Self::step`], additionally returning the net variable changes that
-    /// produced the delta — the replay script the durability layer logs
-    /// ahead of the interval's write-back (see [`crate::durable`]).
-    pub fn step_logged(&mut self, k: usize) -> Result<(DeltaSet, Vec<NetChange>), EvaluateError> {
-        self.chain.run(k);
-        let changes = self.chain.take_changes();
-        // Validate the whole batch before writing anything: an error
-        // mid-batch must not leave the store holding updates whose deltas
-        // were discarded (views fed such a stream would silently diverge).
-        // The MH kernel already rejects malformed proposals, so this guards
-        // alternative kernels and future change sources.
-        let invalid = changes.iter().copied().find(|&(v, _, new_idx)| {
-            v.index() >= self.chain.world().num_variables()
-                || self.chain.world().domain(v).get(new_idx).is_none()
-        });
-        if let Some((bad_v, _, bad_idx)) = invalid {
-            // Recoverable error contract: roll the in-memory world back to
-            // the pre-interval state (reverse order unwinds repeated writes
-            // to one variable) so world and store stay synchronized and the
-            // database remains usable after the error.
-            for &(v, old_idx, _) in changes.iter().rev() {
-                if v.index() < self.chain.world().num_variables() {
-                    self.chain.world_mut().set(v, old_idx);
-                }
+        self.walkers.walk(k);
+        let changes = self.walkers.drain_merged();
+        match self.commit(&changes) {
+            Ok(deltas) => {
+                self.last_changes = changes;
+                Ok(deltas)
             }
-            return Err(EvaluateError::Model(
-                fgdb_graph::ModelError::ValueNotInDomain {
-                    variable: bad_v,
-                    value: format!("<domain index {bad_idx}>"),
-                },
-            ));
+            Err(e) => {
+                // The merge point rejected the batch (a malformed change
+                // source, a desynced walker): snap every walker back to
+                // the master world so the next interval starts from
+                // agreed state.
+                self.walkers.resync_from(&self.world);
+                self.last_changes.clear();
+                Err(e)
+            }
         }
-        let deltas = self.write_back(&changes)?;
-        Ok((deltas, changes))
     }
 
-    /// Writes a validated net-change batch through to the stored relation,
-    /// returning the resulting compacted delta set. Shared between the live
-    /// sampling path ([`Self::step_logged`], which derives changes from the
-    /// chain) and WAL replay ([`Self::apply_logged_interval`], which reads
-    /// them from the log).
-    fn write_back(&mut self, changes: &[NetChange]) -> Result<DeltaSet, EvaluateError> {
+    /// Replays one logged interval: applies the net changes to the master
+    /// world and every walker, and writes them through to the store,
+    /// returning the recomputed delta set. This is the WAL recovery path;
+    /// it runs the same batch validation and write-back as [`Self::step`],
+    /// so a record that would have been rejected live is rejected on
+    /// replay too.
+    ///
+    /// # Errors
+    /// [`EvaluateError::Model`] when a change names a variable or domain
+    /// index outside the world, or its old index disagrees with the current
+    /// world (the log does not describe this state);
+    /// [`EvaluateError::Storage`] on write-back failures.
+    pub fn apply_logged_interval(
+        &mut self,
+        changes: &[NetChange],
+    ) -> Result<DeltaSet, EvaluateError> {
+        let deltas = self.commit(changes)?;
+        self.walkers.advance(changes);
+        Ok(deltas)
+    }
+
+    /// The merge point: validates a whole net-change batch against the
+    /// master world before writing anything (an error mid-batch must not
+    /// leave the store holding updates whose deltas were discarded — views
+    /// fed such a stream would silently diverge), then advances the master
+    /// world and writes the batch through to the stored relation.
+    fn commit(&mut self, changes: &[NetChange]) -> Result<DeltaSet, EvaluateError> {
+        for &(v, old_idx, new_idx) in changes {
+            let in_world = v.index() < self.world.num_variables();
+            if !in_world || self.world.domain(v).get(new_idx).is_none() {
+                return Err(EvaluateError::Model(
+                    fgdb_graph::ModelError::ValueNotInDomain {
+                        variable: v,
+                        value: format!("<domain index {new_idx}>"),
+                    },
+                ));
+            }
+            if self.world.get(v) != old_idx {
+                return Err(EvaluateError::Model(
+                    fgdb_graph::ModelError::ValueNotInDomain {
+                        variable: v,
+                        value: format!(
+                            "<logged old index {old_idx} vs world {}>",
+                            self.world.get(v)
+                        ),
+                    },
+                ));
+            }
+        }
         let mut deltas = DeltaSet::new();
         let rel = self
             .db
             .relation_mut(&self.binding.relation)
             .expect("binding validated at construction");
         for &(v, _old_idx, new_idx) in changes {
-            let value: Value = self
-                .chain
-                .world()
-                .domain(v)
-                .get(new_idx)
-                .cloned()
-                .expect("validated by caller");
+            self.world.set(v, new_idx);
+            let value: Value = self.world.value(v).clone();
             let row = self.binding.rows[v.index()];
             let (old, new) = rel
                 .update_field(row, self.binding.column, value)
@@ -249,127 +299,45 @@ impl<M: Model> ProbabilisticDB<M> {
         Ok(deltas)
     }
 
-    /// Replays one logged interval: applies the net changes to the
-    /// in-memory world and writes them through to the store, returning the
-    /// recomputed delta set. This is the WAL recovery path; it runs the
-    /// same batch-validation and write-back logic as the live
-    /// [`Self::step`], so a record that would have been rejected live is
-    /// rejected on replay too.
+    /// Re-partitions sampling at an interval boundary: one independent MH
+    /// walker per shard of `map`, each confined to its shard's variables
+    /// (see [`fgdb_mcmc::sharded`]), proposing with
+    /// `proposer_for(shard, vars)` and seeded with
+    /// [`fgdb_mcmc::shard_seed`]`(base_seed, shard)`. The walkers start
+    /// from the master world; the retired walkers' lifetime counters carry
+    /// over, so [`Self::steps_taken`] and [`Self::kernel_stats`] keep
+    /// counting.
     ///
-    /// # Errors
-    /// [`EvaluateError::Model`] when a change names a variable or domain
-    /// index outside the world, or its old index disagrees with the current
-    /// world (the log does not describe this state);
-    /// [`EvaluateError::Storage`] on write-back failures.
-    pub fn apply_logged_interval(
-        &mut self,
-        changes: &[NetChange],
-    ) -> Result<DeltaSet, EvaluateError> {
-        for &(v, old_idx, new_idx) in changes {
-            let in_world = v.index() < self.chain.world().num_variables();
-            if !in_world || self.chain.world().domain(v).get(new_idx).is_none() {
-                return Err(EvaluateError::Model(
-                    fgdb_graph::ModelError::ValueNotInDomain {
-                        variable: v,
-                        value: format!("<domain index {new_idx}>"),
-                    },
-                ));
-            }
-            if self.chain.world().get(v) != old_idx {
-                return Err(EvaluateError::Model(
-                    fgdb_graph::ModelError::ValueNotInDomain {
-                        variable: v,
-                        value: format!(
-                            "<logged old index {old_idx} vs world {}>",
-                            self.chain.world().get(v)
-                        ),
-                    },
-                ));
-            }
-        }
-        // World first (untracked initialization-style writes), then the
-        // shared store write-back.
-        for &(v, _old_idx, new_idx) in changes {
-            self.chain.world_mut().set(v, new_idx);
-        }
-        self.write_back(changes)
-    }
-
-    /// Builds a sharded sampler over this database's model and current
-    /// world: one independent MH walker per shard of `map`, each confined
-    /// to its shard's variables (see [`fgdb_mcmc::sharded`]). The map is
-    /// validated against the model first — a factor spanning two shards
-    /// would let a walker score against stale foreign state, so such maps
-    /// are rejected here rather than sampled incorrectly.
-    ///
-    /// The sampler runs *off* the database; drive it with
-    /// [`Self::step_sharded`] to merge its per-shard delta batches back
-    /// into this store. Must be called at an interval boundary (no pending
-    /// chain changes), which the public API guarantees.
+    /// The map is validated against the model first — a factor spanning
+    /// two shards would let a walker score against stale foreign state, so
+    /// such maps are rejected here rather than sampled incorrectly.
     ///
     /// # Errors
     /// Returns an error when the map does not cover the world's variables
-    /// or a factor's scope crosses a shard boundary.
-    pub fn sharded_sampler(
-        &self,
-        map: Arc<ShardMap>,
+    /// or a factor's scope crosses a shard boundary; the current walkers
+    /// stay in place.
+    pub fn shard(
+        &mut self,
+        map: &ShardMap,
         proposer_for: impl FnMut(usize, &[VariableId]) -> Box<dyn Proposer>,
         base_seed: u64,
-    ) -> Result<ShardedSampler<M>, String>
+    ) -> Result<(), String>
     where
         M: Clone + FactorSpans,
     {
         map.validate(self.model())
             .map_err(|e| format!("shard map rejected: {e}"))?;
-        ShardedSampler::new(self.model(), self.world(), map, proposer_for, base_seed)
-            .map_err(|e| format!("sharded sampler: {e}"))
-    }
-
-    /// [`Self::step`] over a sharded sampler: runs `k` MH walk-steps in
-    /// *every* shard, merges the per-shard net-change batches into one
-    /// interval batch (disjoint by construction — each variable belongs to
-    /// exactly one shard), and drives it through the same validated
-    /// write-back as the sequential path. With a single shard this is
-    /// bit-for-bit equivalent to [`Self::step`].
-    ///
-    /// # Errors
-    /// As [`Self::apply_logged_interval`]. On error the interval is rolled
-    /// back *and* the sampler is re-synchronized from the master world, so
-    /// both sides remain usable.
-    pub fn step_sharded(
-        &mut self,
-        sampler: &mut ShardedSampler<M>,
-        k: usize,
-    ) -> Result<DeltaSet, EvaluateError>
-    where
-        M: Clone,
-    {
-        self.step_sharded_logged(sampler, k).map(|(d, _)| d)
-    }
-
-    /// [`Self::step_sharded`], additionally returning the merged net
-    /// changes — the same replay script [`Self::step_logged`] yields, so
-    /// the durability layer logs sharded intervals identically.
-    pub fn step_sharded_logged(
-        &mut self,
-        sampler: &mut ShardedSampler<M>,
-        k: usize,
-    ) -> Result<(DeltaSet, Vec<NetChange>), EvaluateError>
-    where
-        M: Clone,
-    {
-        sampler.walk(k);
-        let changes = sampler.drain_merged();
-        match self.apply_logged_interval(&changes) {
-            Ok(deltas) => Ok((deltas, changes)),
-            Err(e) => {
-                // The merge point rejected the batch (foreign sampler,
-                // desynced walker). Snap every walker back to the master
-                // world so the next interval starts from agreed state.
-                sampler.resync_from(self.chain.world());
-                Err(e)
-            }
-        }
+        let mut walkers =
+            ShardedSampler::new(self.model(), &self.world, map, proposer_for, base_seed)
+                .map_err(|e| format!("sharded sampler: {e}"))?;
+        walkers.restore_shard(
+            0,
+            walkers.shard_rng_state(0),
+            self.steps_taken(),
+            self.kernel_stats(),
+        );
+        self.walkers = walkers;
+        Ok(())
     }
 
     /// The variable ↔ field binding.
@@ -377,22 +345,23 @@ impl<M: Model> ProbabilisticDB<M> {
         &self.binding
     }
 
-    /// The chain RNG's serialized internal state (see [`Chain::rng_state`]).
+    /// Shard 0's serialized RNG state (see [`fgdb_mcmc::Chain::rng_state`]) — the
+    /// whole chain position with one shard, which is what the durability
+    /// layer logs.
     pub fn rng_state(&self) -> [u8; 32] {
-        self.chain.rng_state()
+        self.walkers.shard_rng_state(0)
     }
 
-    /// Restores the chain position persisted by the durability layer: RNG
-    /// state plus lifetime counters. Only meaningful at an interval
-    /// boundary (no changes pending), which recovery guarantees.
-    pub fn restore_chain_position(
+    /// Restores the single-shard chain position persisted by the
+    /// durability layer: RNG state plus lifetime counters. Only meaningful
+    /// at an interval boundary, which recovery guarantees.
+    pub(crate) fn restore_chain_position(
         &mut self,
         rng_state: [u8; 32],
         steps_taken: u64,
         stats: KernelStats,
     ) {
-        self.chain.restore_rng_state(rng_state);
-        self.chain.restore_counters(steps_taken, stats);
+        self.walkers.restore_shard(0, rng_state, steps_taken, stats);
     }
 
     /// Snapshots this probabilistic database into an independent
@@ -405,26 +374,23 @@ impl<M: Model> ProbabilisticDB<M> {
     /// replica gets its own proposer and a fresh RNG stream seeded with
     /// `seed`. Replica MCMC steps never touch this database, and vice versa.
     ///
-    /// Snapshots are taken at thinning-interval boundaries; the public API
-    /// guarantees no MCMC changes are pending outside [`Self::step`], so the
-    /// replica starts exactly synchronized.
+    /// The replica samples single-shard from this database's master world,
+    /// so it starts exactly synchronized whatever this database's sharding.
     pub fn snapshot(&self, proposer: Box<dyn Proposer>, seed: u64) -> ProbabilisticDB<M>
     where
         M: Clone,
     {
-        debug_assert!(
-            !self.chain.has_pending_changes(),
-            "snapshot mid-interval: unflushed chain changes would be lost"
-        );
         ProbabilisticDB {
             db: self.db.snapshot(),
-            chain: Chain::new(
-                self.chain.model().clone(),
+            walkers: ShardedSampler::single(
+                self.model().clone(),
                 proposer,
-                self.chain.world().clone(),
+                self.world.clone(),
                 seed,
             ),
+            world: self.world.clone(),
             binding: self.binding.clone(),
+            last_changes: Vec::new(),
         }
     }
 
@@ -435,15 +401,15 @@ impl<M: Model> ProbabilisticDB<M> {
             .db
             .relation(&self.binding.relation)
             .map_err(|e| e.to_string())?;
-        for v in self.chain.world().variables() {
+        for v in self.world.variables() {
             let stored = rel
                 .get(self.binding.rows[v.index()])
                 .ok_or_else(|| format!("row vanished for {v}"))?
                 .get(self.binding.column);
-            if stored != self.chain.world().value(v) {
+            if stored != self.world.value(v) {
                 return Err(format!(
                     "desync at {v}: stored {stored} vs world {}",
-                    self.chain.world().value(v)
+                    self.world.value(v)
                 ));
             }
         }
@@ -656,6 +622,61 @@ mod tests {
         assert!(deltas.is_empty());
         pdb.check_synchronized().unwrap();
         assert_eq!(pdb.kernel_stats().accepted, 0);
+    }
+
+    #[test]
+    fn shard_validates_the_map_and_keeps_counting() {
+        let (db, world, rows, g) = setup();
+        let binding = FieldBinding::new(&db, "T", "state", rows).unwrap();
+        let vars = vec![VariableId(0), VariableId(1)];
+        let mut pdb = ProbabilisticDB::new(
+            db,
+            Arc::new(g),
+            Box::new(UniformRelabel::new(vars)),
+            world,
+            binding,
+            42,
+        )
+        .unwrap();
+        pdb.step(10).unwrap();
+        // A map over the wrong number of variables is refused, and the
+        // single walker stays.
+        let short = ShardMap::single(3).unwrap();
+        let relabel = |_: usize, vars: &[VariableId]| -> Box<dyn Proposer> {
+            Box::new(UniformRelabel::new(vars.to_vec()))
+        };
+        assert!(pdb.shard(&short, relabel, 1).is_err());
+        assert_eq!(pdb.walkers().num_shards(), 1);
+        // One shard per (independent) variable.
+        let map = ShardMap::from_assignment(vec![0, 1]).unwrap();
+        pdb.shard(&map, relabel, 1).unwrap();
+        assert_eq!(pdb.walkers().num_shards(), 2);
+        assert_eq!(pdb.steps_taken(), 10);
+        for _ in 0..10 {
+            pdb.step(5).unwrap();
+            pdb.check_synchronized().unwrap();
+        }
+        assert_eq!(pdb.steps_taken(), 10 + 2 * 50);
+        assert_eq!(pdb.kernel_stats().proposals, 110);
+    }
+
+    #[test]
+    fn replayed_intervals_advance_the_walkers() {
+        let mut pdb = build();
+        let mut twin = build();
+        for _ in 0..10 {
+            pdb.step(5).unwrap();
+            twin.apply_logged_interval(pdb.last_changes()).unwrap();
+            assert_eq!(
+                twin.walkers().shard_world(0).assignment(),
+                pdb.world().assignment()
+            );
+        }
+        twin.check_synchronized().unwrap();
+        // The twin's walker never stepped: replay moves worlds, not chains.
+        assert_eq!(twin.steps_taken(), 0);
+        twin.step(5).unwrap();
+        twin.check_synchronized().unwrap();
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //!   ([`ProbabilisticDB::step`]), incremental maintenance of every
 //!   *registered query*'s materialized view (Algorithm 1), and — every
 //!   `publish_every` samples — publication of a new [`EpochSnapshot`].
+//!   [`crate::SupervisedSampler`] runs the *same* loop over a
+//!   [`crate::DurablePdb`], adding only what the durable store does
+//!   differently: WAL-logged intervals, periodic checkpoints, a flush on
+//!   stop, and restart-from-recovery after a fault. The whole interval runs
+//!   under one `catch_unwind`, so an error or a panic anywhere in it parks
+//!   as the reader-visible [`SamplerStatus::error`] — never a silent death.
 //! * An epoch is an immutable, internally consistent picture of one
 //!   sampled world: a copy-on-write [`Database::snapshot`] plus each registered
 //!   query's current answer, full-run marginal estimates, and windowed
@@ -27,8 +33,9 @@
 //!   epoch can never observe different worlds (snapshot isolation).
 //! * [`LiveSampler::stop`] is the graceful shutdown: it flags the loop,
 //!   joins the thread, and hands the database back (or the error that
-//!   killed the loop — a failed sampler also parks its error where every
-//!   reader can see it via [`EpochReader::status`]).
+//!   killed the loop — a failed sampler parks its error, and
+//!   [`SamplerState::Failed`], where every reader can see them via
+//!   [`EpochReader::status`] before anyone calls `stop`).
 //!
 //! The design intentionally trades staleness for isolation: a reader sees
 //! the world as of its pinned epoch, at most `publish_every` samples old,
@@ -39,9 +46,10 @@ use crate::evaluate::{EvaluateError, QueryEvaluator};
 use crate::pdb::ProbabilisticDB;
 use fgdb_graph::Model;
 use fgdb_mcmc::{effective_sample_size, split_r_hat};
-use fgdb_relational::{compile_query, execute, CountedSet, Database, QueryResult, Tuple};
+use fgdb_relational::{compile_query, execute, CountedSet, Database, DeltaSet, QueryResult, Tuple};
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -275,7 +283,9 @@ pub struct EpochSnapshot {
     pub epoch: u64,
     /// Total MH walk-steps the chain had taken at publication.
     pub steps: u64,
-    /// Total samples (thinning intervals) drawn at publication.
+    /// Total samples (committed thinning intervals) the sampler loop had
+    /// drawn at publication — the same count [`SamplerStatus::samples`]
+    /// reads, never reset by a restart.
     pub samples: u64,
     db: Database,
     queries: Vec<QueryStatus>,
@@ -311,23 +321,23 @@ impl EpochSnapshot {
 /// under a briefly held read lock, the sampler replaces it under a write
 /// lock only at publication instants — it never holds the lock while
 /// stepping, so readers cannot stall inference (nor vice versa).
-pub(crate) struct EpochCell {
+struct EpochCell {
     current: RwLock<Arc<EpochSnapshot>>,
 }
 
 impl EpochCell {
-    pub(crate) fn new(initial: EpochSnapshot) -> EpochCell {
+    fn new(initial: EpochSnapshot) -> EpochCell {
         EpochCell {
             current: RwLock::new(Arc::new(initial)),
         }
     }
 
-    pub(crate) fn load(&self) -> Arc<EpochSnapshot> {
+    fn load(&self) -> Arc<EpochSnapshot> {
         // lint:allow(sync, readers hold this only long enough to clone an Arc; never across a query)
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    pub(crate) fn store(&self, snap: Arc<EpochSnapshot>) {
+    fn store(&self, snap: Arc<EpochSnapshot>) {
         let old = {
             // lint:allow(sync, one pointer swap per publish interval, not per step; readers block for the swap only)
             let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
@@ -384,34 +394,29 @@ impl fmt::Display for SamplerState {
 /// Shared sampler counters (updated with relaxed atomics on the hot loop;
 /// readers only ever need a monotonic, eventually fresh picture).
 pub(crate) struct SharedStats {
-    pub(crate) steps: AtomicU64,
-    pub(crate) samples: AtomicU64,
-    running: AtomicBool,
+    steps: AtomicU64,
+    samples: AtomicU64,
     state: Mutex<SamplerState>,
     error: Mutex<Option<ServingError>>,
 }
 
 impl SharedStats {
-    pub(crate) fn new(steps: u64) -> SharedStats {
+    fn new(steps: u64) -> SharedStats {
         SharedStats {
             steps: AtomicU64::new(steps),
             samples: AtomicU64::new(0),
-            running: AtomicBool::new(true),
             state: Mutex::new(SamplerState::Running),
             error: Mutex::new(None),
         }
     }
 
-    /// Publishes a lifecycle transition (`running` is kept derived:
-    /// true exactly in [`SamplerState::Running`]).
+    /// Publishes a lifecycle transition.
     pub(crate) fn set_state(&self, state: SamplerState) {
         // lint:allow(sync, lifecycle transitions are rare; never taken on the per-step path)
         *self.state.lock().unwrap_or_else(|e| e.into_inner()) = state;
-        self.running
-            .store(state == SamplerState::Running, Ordering::Release);
     }
 
-    pub(crate) fn state(&self) -> SamplerState {
+    fn state(&self) -> SamplerState {
         // lint:allow(sync, reader-side status probe; copies one enum under the lock)
         *self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -452,7 +457,7 @@ pub struct EpochReader {
 }
 
 impl EpochReader {
-    pub(crate) fn new(cell: Arc<EpochCell>, stats: Arc<SharedStats>) -> EpochReader {
+    fn new(cell: Arc<EpochCell>, stats: Arc<SharedStats>) -> EpochReader {
         EpochReader { cell, stats }
     }
 
@@ -488,7 +493,7 @@ impl EpochReader {
 }
 
 /// One registered query's live machinery on the sampler thread.
-pub(crate) struct Registered {
+struct Registered {
     name: Arc<str>,
     sql: Arc<str>,
     columns: Vec<Arc<str>>,
@@ -521,18 +526,165 @@ impl Registered {
     }
 }
 
-/// The live sampler: owns the sampler thread and hands back the database
-/// at [`LiveSampler::stop`]. Dropping it without `stop` flags and joins
-/// the thread (best effort, result discarded).
-pub struct LiveSampler<M> {
-    reader: EpochReader,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Result<ProbabilisticDB<M>, ServingError>>>,
+/// What the one sampler loop steps: the in-memory [`ProbabilisticDB`], or
+/// the durable store of [`crate::supervise`], which adds WAL logging,
+/// checkpoints, a flush on stop and restart-from-recovery.
+pub(crate) trait Store: Send + Sized + 'static {
+    /// The model the database samples.
+    type Model: Model;
+
+    /// The database the views read and every epoch snapshots.
+    fn pdb(&self) -> &ProbabilisticDB<Self::Model>;
+
+    /// One committed thinning interval of `k` walk-steps.
+    fn step(&mut self, k: usize) -> Result<DeltaSet, ServingError>;
+
+    /// Bookkeeping after a fully served interval (checkpoints).
+    fn served(&mut self) -> Result<(), ServingError> {
+        Ok(())
+    }
+
+    /// Orderly shutdown: makes every acknowledged interval durable.
+    fn sync(&mut self) -> Result<(), ServingError> {
+        Ok(())
+    }
+
+    /// A rebuilt store to resume from after `fault` (already parked in
+    /// `stats`), or the error that ends the loop.
+    fn restart(
+        self,
+        fault: ServingError,
+        _: &SharedStats,
+        _: &AtomicBool,
+    ) -> Result<Self, ServingError> {
+        Err(fault)
+    }
 }
 
-/// Rejects degenerate serving knobs (shared by [`LiveSampler::spawn`] and
-/// the supervised sampler).
-pub(crate) fn validate_config(config: &ServingConfig) -> Result<(), ServingError> {
+impl<M: Model + 'static> Store for ProbabilisticDB<M> {
+    type Model = M;
+
+    fn pdb(&self) -> &ProbabilisticDB<M> {
+        self
+    }
+
+    fn step(&mut self, k: usize) -> Result<DeltaSet, ServingError> {
+        Ok(ProbabilisticDB::step(self, k)?)
+    }
+}
+
+/// The sampler thread and its reader handle, behind both [`LiveSampler`]
+/// and [`crate::SupervisedSampler`]. Dropping it without [`Self::stop`]
+/// flags and joins the thread (best effort, result discarded).
+pub(crate) struct SamplerHandle<S> {
+    reader: EpochReader,
+    stop: Arc<AtomicBool>,
+    handle: Option<JoinHandle<Result<S, ServingError>>>,
+}
+
+impl<S: Store> SamplerHandle<S> {
+    /// See [`LiveSampler::spawn`].
+    pub(crate) fn spawn(
+        store: S,
+        queries: &[(&str, &str)],
+        config: ServingConfig,
+    ) -> Result<Self, ServingError> {
+        validate_config(&config)?;
+        let queries: Vec<(String, String)> = queries
+            .iter()
+            .map(|(n, s)| (n.to_string(), s.to_string()))
+            .collect();
+        let registered = build_registered(store.pdb(), &queries, &config)?;
+        let epoch0 = publish_snapshot(store.pdb(), &registered, &config, 0, 0)?;
+        let sampler = Sampler {
+            queries,
+            config,
+            cell: Arc::new(EpochCell::new(epoch0)),
+            stats: Arc::new(SharedStats::new(store.pdb().steps_taken())),
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        let reader = EpochReader::new(Arc::clone(&sampler.cell), Arc::clone(&sampler.stats));
+        let stop = Arc::clone(&sampler.stop);
+        let handle = std::thread::Builder::new()
+            .name("fgdb-sampler".into())
+            .spawn(move || sampler.run(store, registered))
+            .map_err(|e| ServingError::Sampler(format!("spawn failed: {e}")))?;
+        Ok(SamplerHandle {
+            reader,
+            stop,
+            handle: Some(handle),
+        })
+    }
+
+    /// See [`LiveSampler::stop`].
+    pub(crate) fn stop(mut self) -> Result<S, ServingError> {
+        self.stop.store(true, Ordering::Release);
+        match self.handle.take() {
+            None => Err(ServingError::Panicked(String::new())),
+            Some(h) => match h.join() {
+                Err(payload) => Err(ServingError::from_panic(payload)),
+                Ok(result) => result,
+            },
+        }
+    }
+}
+
+impl<S> SamplerHandle<S> {
+    /// A reader handle (clone freely; hand to server worker threads).
+    pub(crate) fn reader(&self) -> EpochReader {
+        self.reader.clone()
+    }
+}
+
+impl<S> Drop for SamplerHandle<S> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// The live in-memory sampler: owns the sampler thread and hands back the
+/// database at [`LiveSampler::stop`].
+pub struct LiveSampler<M> {
+    handle: SamplerHandle<ProbabilisticDB<M>>,
+}
+
+impl<M: Model + 'static> LiveSampler<M> {
+    /// Validates and registers `queries` (`(name, sql)` pairs, each
+    /// becoming an incrementally maintained view), publishes epoch 0 from
+    /// the initial world, and starts the sampler loop on its own thread.
+    ///
+    /// # Errors
+    /// [`ServingError::Config`] on degenerate knobs and
+    /// [`ServingError::Evaluate`] when a registered query fails to parse,
+    /// plan, or materialize — all before any thread is spawned.
+    pub fn spawn(
+        pdb: ProbabilisticDB<M>,
+        queries: &[(&str, &str)],
+        config: ServingConfig,
+    ) -> Result<Self, ServingError> {
+        Ok(LiveSampler {
+            handle: SamplerHandle::spawn(pdb, queries, config)?,
+        })
+    }
+
+    /// A reader handle (clone freely; hand to server worker threads).
+    pub fn reader(&self) -> EpochReader {
+        self.handle.reader()
+    }
+
+    /// Graceful shutdown: flags the loop, joins the thread, and returns
+    /// the database at its final position — or the error that had already
+    /// killed the loop.
+    pub fn stop(self) -> Result<ProbabilisticDB<M>, ServingError> {
+        self.handle.stop()
+    }
+}
+
+/// Rejects degenerate serving knobs.
+fn validate_config(config: &ServingConfig) -> Result<(), ServingError> {
     if config.thinning == 0 {
         return Err(ServingError::Config("zero thinning interval".into()));
     }
@@ -550,9 +702,9 @@ pub(crate) fn validate_config(config: &ServingConfig) -> Result<(), ServingError
 /// Compiles and materializes every `(name, sql)` pair as an incrementally
 /// maintained view over `pdb`, with a fresh diagnostic window seeded from
 /// the initial answer.
-pub(crate) fn build_registered<M: Model>(
+fn build_registered<M: Model>(
     pdb: &ProbabilisticDB<M>,
-    queries: &[(&str, &str)],
+    queries: &[(String, String)],
     config: &ServingConfig,
 ) -> Result<Vec<Registered>, ServingError> {
     let mut registered = Vec::with_capacity(queries.len());
@@ -569,8 +721,8 @@ pub(crate) fn build_registered<M: Model>(
                 .ok_or(EvaluateError::NotMaterialized)?,
         );
         registered.push(Registered {
-            name: Arc::from(*name),
-            sql: Arc::from(*sql),
+            name: Arc::from(name.as_str()),
+            sql: Arc::from(sql.as_str()),
             columns,
             eval,
             traces,
@@ -579,77 +731,14 @@ pub(crate) fn build_registered<M: Model>(
     Ok(registered)
 }
 
-impl<M: Model + 'static> LiveSampler<M> {
-    /// Validates and registers `queries` (`(name, sql)` pairs, each
-    /// becoming an incrementally maintained view), publishes epoch 0 from
-    /// the initial world, and starts the sampler loop on its own thread.
-    ///
-    /// # Errors
-    /// [`ServingError::Config`] on degenerate knobs and
-    /// [`ServingError::Evaluate`] when a registered query fails to parse,
-    /// plan, or materialize — all before any thread is spawned.
-    pub fn spawn(
-        pdb: ProbabilisticDB<M>,
-        queries: &[(&str, &str)],
-        config: ServingConfig,
-    ) -> Result<Self, ServingError> {
-        validate_config(&config)?;
-        let registered = build_registered(&pdb, queries, &config)?;
-
-        let epoch0 = publish_snapshot(&pdb, &registered, &config, 0)?;
-        let cell = Arc::new(EpochCell::new(epoch0));
-        let stats = Arc::new(SharedStats::new(pdb.steps_taken()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let reader = EpochReader::new(Arc::clone(&cell), Arc::clone(&stats));
-
-        let t_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("fgdb-sampler".into())
-            .spawn(move || sampler_loop(pdb, registered, config, cell, stats, t_stop))
-            .map_err(|e| ServingError::Sampler(format!("spawn failed: {e}")))?;
-
-        Ok(LiveSampler {
-            reader,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// A reader handle (clone freely; hand to server worker threads).
-    pub fn reader(&self) -> EpochReader {
-        self.reader.clone()
-    }
-
-    /// Graceful shutdown: flags the loop, joins the thread, and returns
-    /// the database at its final position — or the error that had already
-    /// killed the loop.
-    pub fn stop(mut self) -> Result<ProbabilisticDB<M>, ServingError> {
-        self.stop.store(true, Ordering::Release);
-        match self.handle.take() {
-            None => Err(ServingError::Panicked(String::new())),
-            Some(h) => match h.join() {
-                Err(payload) => Err(ServingError::from_panic(payload)),
-                Ok(result) => result,
-            },
-        }
-    }
-}
-
-impl<M> Drop for LiveSampler<M> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Builds one publishable epoch from the sampler's current state.
-pub(crate) fn publish_snapshot<M: Model>(
+/// Builds one publishable epoch from the sampler's current state;
+/// `samples` is the loop's committed-interval count.
+fn publish_snapshot<M: Model>(
     pdb: &ProbabilisticDB<M>,
     registered: &[Registered],
     config: &ServingConfig,
     epoch: u64,
+    samples: u64,
 ) -> Result<EpochSnapshot, EvaluateError> {
     let mut queries = Vec::with_capacity(registered.len());
     for r in registered {
@@ -658,101 +747,130 @@ pub(crate) fn publish_snapshot<M: Model>(
     Ok(EpochSnapshot {
         epoch,
         steps: pdb.steps_taken(),
-        samples: registered
-            .first()
-            .map(|r| r.eval.marginals().samples().saturating_sub(1))
-            .unwrap_or(0),
+        samples,
         db: pdb.database().snapshot(),
         queries,
     })
 }
 
-/// The sampler thread body: step, maintain every registered view, publish.
-fn sampler_loop<M: Model>(
-    mut pdb: ProbabilisticDB<M>,
-    mut registered: Vec<Registered>,
+/// What the sampler thread owns besides the store and its views.
+struct Sampler {
+    /// The registered `(name, sql)` pairs (views are rebuilt on restart).
+    queries: Vec<(String, String)>,
     config: ServingConfig,
     cell: Arc<EpochCell>,
     stats: Arc<SharedStats>,
     stop: Arc<AtomicBool>,
-) -> Result<ProbabilisticDB<M>, ServingError> {
-    let mut epoch = 0u64;
-    let mut since_publish = 0usize;
-    let result = loop {
-        if stop.load(Ordering::Acquire) {
-            break Ok(());
-        }
-        match step_once(&mut pdb, &mut registered, config.thinning) {
-            Ok(()) => {
-                // lint:allow-start(sync, per-step counter bumps; values are advisory and carry no cross-thread ordering)
-                stats.steps.store(pdb.steps_taken(), Ordering::Relaxed);
-                stats.samples.fetch_add(1, Ordering::Relaxed);
+}
+
+impl Sampler {
+    /// The one sampler loop. Each interval — step, maintenance of every
+    /// registered view, publication every `publish_every` intervals, and
+    /// the store's bookkeeping — runs under one `catch_unwind`, so an error
+    /// *or* a panic anywhere in it parks where every reader's
+    /// [`EpochReader::status`] sees it. The store then restarts (the
+    /// durable store recovers from disk; the views are rebuilt and an epoch
+    /// above every earlier one is published at once) or the loop ends
+    /// [`SamplerState::Failed`]. A stop request flushes the store and
+    /// publishes the terminal state.
+    fn run<S: Store>(
+        self,
+        mut store: S,
+        mut registered: Vec<Registered>,
+    ) -> Result<S, ServingError> {
+        let config = &self.config;
+        let mut epoch = 0u64;
+        // Committed intervals: never reset, not even across a restart.
+        let mut samples = 0u64;
+        let mut since_publish = 0usize;
+        loop {
+            if self.stop.load(Ordering::Acquire) {
+                if let Err(e) = store.sync() {
+                    return Err(self.park(e, SamplerState::Failed));
+                }
+                if since_publish > 0 {
+                    let _ = self.publish(store.pdb(), &registered, epoch + 1, samples);
+                }
+                self.stats.set_state(SamplerState::Stopped);
+                return Ok(store);
+            }
+            let interval = catch_unwind(AssertUnwindSafe(|| -> Result<(), ServingError> {
+                let delta = store.step(config.thinning)?;
+                samples += 1;
+                // lint:allow-start(sync, per-interval counter stores; values are advisory and carry no cross-thread ordering)
+                self.stats
+                    .steps
+                    .store(store.pdb().steps_taken(), Ordering::Relaxed);
+                self.stats.samples.store(samples, Ordering::Relaxed);
                 // lint:allow-end(sync)
+                let db = store.pdb().database();
+                for r in registered.iter_mut() {
+                    r.eval.observe(&delta, db)?;
+                    let answer = r
+                        .eval
+                        .current_answer()
+                        .ok_or(EvaluateError::NotMaterialized)?;
+                    r.traces.record(answer);
+                }
                 since_publish += 1;
                 if since_publish >= config.publish_every {
                     since_publish = 0;
                     epoch += 1;
-                    match publish_snapshot(&pdb, &registered, &config, epoch) {
-                        Ok(snap) => cell.store(Arc::new(snap)),
-                        Err(e) => break Err(e),
-                    }
+                    self.publish(store.pdb(), &registered, epoch, samples)?;
                 }
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    // Final publication so late readers see the terminal state; loop
-    // errors park where every reader's `status()` can see them.
-    match result {
-        Ok(()) => {
-            if since_publish > 0 {
+                store.served()
+            }));
+            let fault = match interval {
+                Ok(Ok(())) => continue,
+                Ok(Err(e)) => e,
+                Err(payload) => ServingError::from_panic(payload),
+            };
+            self.stats.set_error(Some(fault.clone()));
+            store = match store.restart(fault, &self.stats, &self.stop) {
+                Ok(store) => store,
+                // A stop request that ends a restart is an orderly stop.
+                Err(e) if self.stop.load(Ordering::Acquire) => {
+                    return Err(self.park(e, SamplerState::Stopped))
+                }
+                Err(e) => return Err(self.park(e, SamplerState::Failed)),
+            };
+            // Resume: rebuild the views from the restarted store and
+            // publish at once, so readers see an epoch above every
+            // pre-fault one as the first signal that service resumed.
+            let resumed = build_registered(store.pdb(), &self.queries, config).and_then(|r| {
+                registered = r;
                 epoch += 1;
-                if let Ok(snap) = publish_snapshot(&pdb, &registered, &config, epoch) {
-                    cell.store(Arc::new(snap));
-                }
+                Ok(self.publish(store.pdb(), &registered, epoch, samples)?)
+            });
+            if let Err(e) = resumed {
+                return Err(self.park(e, SamplerState::Failed));
             }
-            stats.set_state(SamplerState::Stopped);
-            Ok(pdb)
-        }
-        Err(e) => {
-            let error = ServingError::from(e);
-            stats.set_error(Some(error.clone()));
-            stats.set_state(SamplerState::Failed);
-            Err(error)
+            since_publish = 0;
+            self.stats.set_error(None);
+            self.stats.set_state(SamplerState::Running);
         }
     }
-}
 
-/// Incremental maintenance after one committed interval: folds `delta`
-/// into every registered view and extends its diagnostic trace. Shared
-/// with the supervised (durable) loop, whose deltas come back from
-/// [`crate::DurablePdb::step`] already logged.
-pub(crate) fn observe_delta(
-    registered: &mut [Registered],
-    delta: &fgdb_relational::DeltaSet,
-    db: &Database,
-) -> Result<(), EvaluateError> {
-    for r in registered.iter_mut() {
-        r.eval.observe(delta, db)?;
-        let answer = r
-            .eval
-            .current_answer()
-            .ok_or(EvaluateError::NotMaterialized)?;
-        r.traces.record(answer);
+    /// Publishes epoch number `epoch` of the sampler's current state.
+    fn publish<M: Model>(
+        &self,
+        pdb: &ProbabilisticDB<M>,
+        registered: &[Registered],
+        epoch: u64,
+        samples: u64,
+    ) -> Result<(), EvaluateError> {
+        let snap = publish_snapshot(pdb, registered, &self.config, epoch, samples)?;
+        self.cell.store(Arc::new(snap));
+        Ok(())
     }
-    Ok(())
-}
 
-/// One thinning interval: `k` walk-steps (`config.thinning`, the interval
-/// every registered view was built with), then incremental maintenance and
-/// trace extension of every registered view.
-fn step_once<M: Model>(
-    pdb: &mut ProbabilisticDB<M>,
-    registered: &mut [Registered],
-    k: usize,
-) -> Result<(), EvaluateError> {
-    let delta = pdb.step(k)?;
-    observe_delta(registered, &delta, pdb.database())
+    /// Parks `error` with the loop's terminal `state` where every reader
+    /// sees it, and hands it back for [`SamplerHandle::stop`].
+    fn park(&self, error: ServingError, state: SamplerState) -> ServingError {
+        self.stats.set_error(Some(error.clone()));
+        self.stats.set_state(state);
+        error
+    }
 }
 
 #[cfg(test)]
@@ -812,7 +930,12 @@ mod tests {
         )
         .unwrap();
         let reader = sampler.reader();
-        while reader.status().samples < 3 {
+        while reader.pin().epoch < 3 {
+            // Every published epoch counts the committed intervals, even
+            // with no registered query to count them for it.
+            let epoch = reader.pin();
+            assert_eq!(epoch.samples, epoch.steps / 7);
+            assert_eq!(epoch.steps % 7, 0);
             std::thread::yield_now();
         }
         let pdb = sampler.stop().unwrap();
@@ -820,6 +943,10 @@ mod tests {
         assert!(samples > 0);
         assert_eq!(pdb.steps_taken(), 7 * samples);
         assert_eq!(reader.status().steps, 7 * samples);
+        // The terminal epoch carries the same count as the live status.
+        let last = reader.pin();
+        assert_eq!(last.samples, samples);
+        assert_eq!(last.steps, 7 * samples);
     }
 
     #[test]

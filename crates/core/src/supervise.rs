@@ -1,30 +1,31 @@
-//! The supervised durable sampler: the live serving loop of
-//! [`crate::LiveSampler`] stepped through a [`DurablePdb`] (every interval
-//! WAL-logged before acknowledgement) under a supervisor that survives
-//! storage faults and panics by restart-from-recovery.
+//! The supervised durable sampler: the one sampler loop of
+//! [`crate::serving`] stepped through a [`DurablePdb`] (every interval
+//! WAL-logged before acknowledgement), surviving storage faults and panics
+//! by restart-from-recovery.
 //!
-//! ROADMAP item "wire the durable store under the live sampler": PR-5
-//! made single-threaded stepping durable and PR-6 made in-memory stepping
-//! servable; this module composes the two and adds the failure story. The
-//! supervisor thread runs the serving loop inside `catch_unwind` plus
-//! typed-error handling:
+//! [`SupervisedSampler::spawn`] is a thin constructor: it hands the loop a
+//! durable store that differs from the in-memory one in four places — each
+//! interval is logged, every `checkpoint_every` served intervals are
+//! checkpointed, a stop flushes the group-commit tail, and a fault
+//! restarts instead of ending the loop:
 //!
 //! * a **transient storage fault** (WAL append error, failed fsync,
-//!   checkpoint I/O error) or a **panic** parks the typed error where
-//!   every reader's [`EpochReader::status`] sees it, flips the state to
-//!   [`SamplerState::Degraded`], and attempts bounded
+//!   checkpoint I/O error) or a **panic** anywhere in the interval parks
+//!   the typed error where every reader's [`EpochReader::status`] sees it,
+//!   flips the state to [`SamplerState::Degraded`], and attempts bounded
 //!   restart-from-recovery: re-open the store via
 //!   [`ProbabilisticDB::recover_with_io`] (which truncates any torn WAL
-//!   tail), verify the recovered state is internally synchronized,
-//!   rebuild the registered views, and resume publishing epochs — the
-//!   epoch counter keeps rising monotonically across recoveries, so a
-//!   pinned pre-fault epoch and a post-recovery epoch are ordered;
+//!   tail), verify the recovered state is internally synchronized, then the
+//!   loop rebuilds the registered views and resumes publishing epochs — the
+//!   epoch counter and the sample count keep rising monotonically across
+//!   recoveries, so a pinned pre-fault epoch and a post-recovery epoch are
+//!   ordered;
 //! * an **evaluate or configuration error** is deterministic — retrying
-//!   replays the same bug — so the supervisor fails fast to
+//!   replays the same bug — so the sampler fails fast to
 //!   [`SamplerState::Failed`] without burning restart attempts;
-//! * after `max_restarts` consecutive failed recoveries the supervisor
-//!   gives up: state [`SamplerState::Failed`], error parked, thread ends.
-//!   A healthy interval refills the restart budget, so a sampler that
+//! * after `max_restarts` consecutive failed restarts the sampler gives
+//!   up: state [`SamplerState::Failed`], error parked, thread ends. A
+//!   healthy interval refills the restart budget, so a sampler that
 //!   recovers and serves for hours is not one fault away from giving up
 //!   because of faults it already survived.
 //!
@@ -42,17 +43,16 @@
 use crate::durable::{DurableError, DurablePdb};
 use crate::pdb::ProbabilisticDB;
 use crate::serving::{
-    build_registered, observe_delta, publish_snapshot, validate_config, EpochCell, EpochReader,
-    Registered, SamplerState, ServingConfig, ServingError, SharedStats,
+    EpochReader, SamplerHandle, SamplerState, ServingConfig, ServingError, SharedStats, Store,
 };
 use fgdb_durability::{DurabilityConfig, StoreIo};
 use fgdb_graph::Model;
 use fgdb_mcmc::Proposer;
+use fgdb_relational::DeltaSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Supervision knobs on top of the serving loop.
@@ -91,15 +91,13 @@ pub type ModelFactory<M> = Box<dyn Fn() -> (M, Box<dyn Proposer>) + Send>;
 /// loop steps a [`DurablePdb`] and survives storage faults by bounded
 /// restart-from-recovery.
 pub struct SupervisedSampler<M> {
-    reader: EpochReader,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Result<DurablePdb<M>, ServingError>>>,
+    handle: SamplerHandle<Supervised<M>>,
 }
 
 impl<M: Model + 'static> SupervisedSampler<M> {
     /// Validates and registers `queries`, publishes epoch 0 from the
-    /// durable database's current state, and starts the supervised loop
-    /// on its own thread. `factory` re-supplies the model and proposer at
+    /// durable database's current state, and starts the sampler loop on
+    /// its own thread. `factory` re-supplies the model and proposer at
     /// each recovery.
     pub fn spawn(
         durable: DurablePdb<M>,
@@ -107,44 +105,22 @@ impl<M: Model + 'static> SupervisedSampler<M> {
         config: SupervisorConfig,
         factory: ModelFactory<M>,
     ) -> Result<Self, ServingError> {
-        validate_config(&config.serving)?;
-        let registered = build_registered(durable.pdb(), queries, &config.serving)?;
-        let epoch0 = publish_snapshot(durable.pdb(), &registered, &config.serving, 0)?;
-        let cell = Arc::new(EpochCell::new(epoch0));
-        let stats = Arc::new(SharedStats::new(durable.steps_taken()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let reader = EpochReader::new(Arc::clone(&cell), Arc::clone(&stats));
-
-        let owned: Vec<(String, String)> = queries
-            .iter()
-            .map(|(n, s)| (n.to_string(), s.to_string()))
-            .collect();
-        let t_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("fgdb-supervised-sampler".into())
-            .spawn(move || {
-                Supervisor {
-                    queries: owned,
-                    config,
-                    cell,
-                    stats,
-                    stop: t_stop,
-                    factory,
-                }
-                .run(durable, registered)
-            })
-            .map_err(|e| ServingError::Sampler(format!("spawn failed: {e}")))?;
-
+        let serving = config.serving.clone();
+        let store = Supervised {
+            durable,
+            factory,
+            config,
+            since_checkpoint: 0,
+            attempt: 0,
+        };
         Ok(SupervisedSampler {
-            reader,
-            stop,
-            handle: Some(handle),
+            handle: SamplerHandle::spawn(store, queries, serving)?,
         })
     }
 
     /// A reader handle (clone freely; hand to server worker threads).
     pub fn reader(&self) -> EpochReader {
-        self.reader.clone()
+        self.handle.reader()
     }
 
     /// Graceful shutdown: flags the loop, joins the thread, and returns
@@ -152,254 +128,146 @@ impl<M: Model + 'static> SupervisedSampler<M> {
     /// error that had already killed (or was mid-way through degrading)
     /// the loop. After an `Err`, the store directory still holds the last
     /// durable state and can be recovered offline.
-    pub fn stop(mut self) -> Result<DurablePdb<M>, ServingError> {
-        self.stop.store(true, Ordering::Release);
-        match self.handle.take() {
-            None => Err(ServingError::Panicked(String::new())),
-            Some(h) => match h.join() {
-                Err(payload) => Err(ServingError::from_panic(payload)),
-                Ok(result) => result,
-            },
-        }
+    pub fn stop(self) -> Result<DurablePdb<M>, ServingError> {
+        self.handle.stop().map(|s| s.durable)
     }
 }
 
-impl<M> Drop for SupervisedSampler<M> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The supervisor thread's state bundle.
-struct Supervisor<M> {
-    queries: Vec<(String, String)>,
-    config: SupervisorConfig,
-    cell: Arc<EpochCell>,
-    stats: Arc<SharedStats>,
-    stop: Arc<AtomicBool>,
+/// The durable store under the sampler loop: a mounted [`DurablePdb`] plus
+/// what checkpointing and restart-from-recovery need.
+pub(crate) struct Supervised<M> {
+    durable: DurablePdb<M>,
     factory: ModelFactory<M>,
+    config: SupervisorConfig,
+    /// Served intervals since the last checkpoint.
+    since_checkpoint: usize,
+    /// Consecutive restart attempts without a healthy interval between.
+    attempt: u32,
 }
 
-/// Whether a fault is worth a restart-from-recovery. Storage faults and
-/// panics are (transient media errors, torn state a recovery repairs);
-/// evaluate/config errors are deterministic bugs a retry only replays.
-fn retryable(e: &ServingError) -> bool {
-    match e {
-        ServingError::Durable(d) => !matches!(&**d, DurableError::Evaluate(_)),
-        ServingError::Panicked(_) => true,
-        ServingError::Evaluate(_) | ServingError::Sampler(_) | ServingError::Config(_) => false,
+impl<M: Model + 'static> Store for Supervised<M> {
+    type Model = M;
+
+    fn pdb(&self) -> &ProbabilisticDB<M> {
+        self.durable.pdb()
     }
-}
 
-impl<M: Model + 'static> Supervisor<M> {
-    fn run(
+    fn step(&mut self, k: usize) -> Result<DeltaSet, ServingError> {
+        Ok(self.durable.step(k)?)
+    }
+
+    fn served(&mut self) -> Result<(), ServingError> {
+        // A healthy, logged interval refills the restart budget: only
+        // *consecutive* failures give up.
+        self.attempt = 0;
+        self.since_checkpoint += 1;
+        if self.config.checkpoint_every > 0 && self.since_checkpoint >= self.config.checkpoint_every
+        {
+            self.since_checkpoint = 0;
+            self.durable.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    fn sync(&mut self) -> Result<(), ServingError> {
+        Ok(self.durable.sync()?)
+    }
+
+    /// Bounded restart-from-recovery: drop the faulted store, then up to
+    /// `max_restarts` times (in [`SamplerState::Degraded`], after a backoff
+    /// that polls the stop flag) re-open the directory through the same
+    /// I/O handle and verify the recovered state is synchronized.
+    fn restart(
         self,
-        mut durable: DurablePdb<M>,
-        mut registered: Vec<Registered>,
-    ) -> Result<DurablePdb<M>, ServingError> {
-        // Recovery inputs, captured before the store can be lost to a
-        // fault: directory, I/O handle, durability config.
+        fault: ServingError,
+        stats: &SharedStats,
+        stop: &AtomicBool,
+    ) -> Result<Self, ServingError> {
+        // Storage faults and panics are worth a restart (transient media
+        // errors, torn state a recovery repairs); evaluate and config
+        // errors are deterministic bugs a retry only replays.
+        let retryable = match &fault {
+            ServingError::Durable(d) => !matches!(&**d, DurableError::Evaluate(_)),
+            ServingError::Panicked(_) => true,
+            ServingError::Evaluate(_) | ServingError::Sampler(_) | ServingError::Config(_) => false,
+        };
+        if !retryable {
+            return Err(fault);
+        }
+        let Supervised {
+            durable,
+            factory,
+            config,
+            mut attempt,
+            ..
+        } = self;
+        // Recovery inputs, then the faulted store is dropped (its drop
+        // path flushes best effort; a poisoned WAL refuses further writes
+        // anyway). From here until a recovery succeeds, the on-disk
+        // directory is the single source of truth — exactly the crash
+        // contract.
         let dir: PathBuf = durable.dir().to_path_buf();
         let io: Arc<dyn StoreIo> = durable.io();
         let dconfig: DurabilityConfig = durable.durability_config();
-
-        let mut epoch = 0u64;
-        let mut since_publish = 0usize;
-        let mut since_checkpoint = 0usize;
-        let mut attempt = 0u32;
-
+        drop(durable);
         loop {
-            // ---- the serving loop, until stop or a fault -------------
-            let fault: ServingError = loop {
-                if self.stop.load(Ordering::Acquire) {
-                    // Orderly shutdown: flush the group-commit tail so
-                    // every acknowledged interval is durable, publish the
-                    // terminal state, report Stopped.
-                    if let Err(e) = durable.sync() {
-                        let error = ServingError::from(e);
-                        self.stats.set_error(Some(error.clone()));
-                        self.stats.set_state(SamplerState::Failed);
-                        return Err(error);
-                    }
-                    if since_publish > 0 {
-                        epoch += 1;
-                        if let Ok(snap) = publish_snapshot(
-                            durable.pdb(),
-                            &registered,
-                            &self.config.serving,
-                            epoch,
-                        ) {
-                            self.cell.store(Arc::new(snap));
-                        }
-                    }
-                    self.stats.set_state(SamplerState::Stopped);
-                    return Ok(durable);
-                }
-                let k = self.config.serving.thinning;
-                match catch_unwind(AssertUnwindSafe(|| durable.step(k))) {
-                    Ok(Ok(delta)) => {
-                        if let Err(e) = observe_delta(&mut registered, &delta, durable.database()) {
-                            break ServingError::from(e);
-                        }
-                        self.stats
-                            .steps
-                            .store(durable.steps_taken(), Ordering::Relaxed);
-                        self.stats.samples.fetch_add(1, Ordering::Relaxed);
-                        // A healthy, logged interval refills the restart
-                        // budget: only *consecutive* failures give up.
-                        attempt = 0;
-                        since_publish += 1;
-                        since_checkpoint += 1;
-                        if since_publish >= self.config.serving.publish_every {
-                            since_publish = 0;
-                            epoch += 1;
-                            match publish_snapshot(
-                                durable.pdb(),
-                                &registered,
-                                &self.config.serving,
-                                epoch,
-                            ) {
-                                Ok(snap) => self.cell.store(Arc::new(snap)),
-                                Err(e) => break ServingError::from(e),
-                            }
-                        }
-                        if self.config.checkpoint_every > 0
-                            && since_checkpoint >= self.config.checkpoint_every
-                        {
-                            since_checkpoint = 0;
-                            match catch_unwind(AssertUnwindSafe(|| durable.checkpoint())) {
-                                Ok(Ok(())) => {}
-                                Ok(Err(e)) => break ServingError::from(e),
-                                Err(payload) => break ServingError::from_panic(payload),
-                            }
-                        }
-                    }
-                    Ok(Err(e)) => break ServingError::from(e),
-                    Err(payload) => break ServingError::from_panic(payload),
-                }
-            };
-
-            // ---- degrade, then bounded restart-from-recovery ---------
-            self.stats.set_error(Some(fault.clone()));
-            if !retryable(&fault) {
-                self.stats.set_state(SamplerState::Failed);
+            attempt += 1;
+            if attempt > config.max_restarts {
                 return Err(fault);
             }
-            // The faulted store is dropped (its drop path flushes best
-            // effort; a poisoned WAL refuses further writes anyway). From
-            // here until a recovery succeeds, the on-disk directory is
-            // the single source of truth — exactly the crash contract.
-            drop(durable);
-            loop {
-                attempt += 1;
-                if attempt > self.config.max_restarts {
-                    self.stats.set_state(SamplerState::Failed);
-                    return Err(fault);
+            stats.set_state(SamplerState::Degraded {
+                attempt,
+                max_restarts: config.max_restarts,
+            });
+            if !backoff(
+                stop,
+                config.restart_backoff_ms.saturating_mul(attempt as u64),
+            ) {
+                // Stop requested mid-recovery: there is no live store to
+                // hand back, but the directory remains recoverable.
+                return Err(fault);
+            }
+            let recovered = catch_unwind(AssertUnwindSafe(|| {
+                let (model, proposer) = factory();
+                ProbabilisticDB::recover_with_io(Arc::clone(&io), &dir, model, proposer, dconfig)
+            }));
+            match recovered {
+                Ok(Ok((durable, _report))) => {
+                    // Verify before resuming: a recovered world that
+                    // disagrees with its own store is fatal, not something
+                    // to serve from.
+                    durable.pdb().check_synchronized().map_err(|m| {
+                        ServingError::Sampler(format!("recovered state failed verification: {m}"))
+                    })?;
+                    return Ok(Supervised {
+                        durable,
+                        factory,
+                        config,
+                        since_checkpoint: 0,
+                        attempt,
+                    });
                 }
-                self.stats.set_state(SamplerState::Degraded {
-                    attempt,
-                    max_restarts: self.config.max_restarts,
-                });
-                if !self.backoff(attempt) {
-                    // Stop requested mid-recovery: there is no live store
-                    // to hand back, but the directory remains recoverable.
-                    self.stats.set_state(SamplerState::Stopped);
-                    return Err(fault);
-                }
-                let (model, proposer) = (self.factory)();
-                let recovered = catch_unwind(AssertUnwindSafe(|| {
-                    ProbabilisticDB::recover_with_io(
-                        Arc::clone(&io),
-                        &dir,
-                        model,
-                        proposer,
-                        dconfig,
-                    )
-                }));
-                match recovered {
-                    Ok(Ok((d2, _report))) => {
-                        // Verify before resuming: a recovered world that
-                        // disagrees with its own store is fatal, not
-                        // something to serve from.
-                        if let Err(m) = d2.pdb().check_synchronized() {
-                            let error = ServingError::Sampler(format!(
-                                "recovered state failed verification: {m}"
-                            ));
-                            self.stats.set_error(Some(error.clone()));
-                            self.stats.set_state(SamplerState::Failed);
-                            return Err(error);
-                        }
-                        let q: Vec<(&str, &str)> = self
-                            .queries
-                            .iter()
-                            .map(|(n, s)| (n.as_str(), s.as_str()))
-                            .collect();
-                        match build_registered(d2.pdb(), &q, &self.config.serving) {
-                            Ok(r) => registered = r,
-                            Err(e) => {
-                                self.stats.set_error(Some(e.clone()));
-                                self.stats.set_state(SamplerState::Failed);
-                                return Err(e);
-                            }
-                        }
-                        durable = d2;
-                        // Publish immediately: readers see a fresh epoch
-                        // (monotonically above every pre-fault epoch) as
-                        // the first signal that service resumed.
-                        epoch += 1;
-                        match publish_snapshot(
-                            durable.pdb(),
-                            &registered,
-                            &self.config.serving,
-                            epoch,
-                        ) {
-                            Ok(snap) => self.cell.store(Arc::new(snap)),
-                            Err(e) => {
-                                let error = ServingError::from(e);
-                                self.stats.set_error(Some(error.clone()));
-                                self.stats.set_state(SamplerState::Failed);
-                                return Err(error);
-                            }
-                        }
-                        self.stats.set_error(None);
-                        self.stats.set_state(SamplerState::Running);
-                        since_publish = 0;
-                        since_checkpoint = 0;
-                        break; // back to the serving loop
-                    }
-                    Ok(Err(e)) => {
-                        self.stats.set_error(Some(ServingError::from(e)));
-                    }
-                    Err(payload) => {
-                        self.stats
-                            .set_error(Some(ServingError::from_panic(payload)));
-                    }
-                }
+                Ok(Err(e)) => stats.set_error(Some(ServingError::from(e))),
+                Err(payload) => stats.set_error(Some(ServingError::from_panic(payload))),
             }
         }
     }
+}
 
-    /// Sleeps `restart_backoff_ms × attempt`, polling the stop flag.
-    /// Returns false when stop was requested.
-    fn backoff(&self, attempt: u32) -> bool {
-        let total = self
-            .config
-            .restart_backoff_ms
-            .saturating_mul(attempt as u64);
-        let mut slept = 0u64;
-        while slept < total {
-            if self.stop.load(Ordering::Acquire) {
-                return false;
-            }
-            let chunk = (total - slept).min(5);
-            std::thread::sleep(Duration::from_millis(chunk));
-            slept += chunk;
+/// Sleeps `total_ms`, polling the stop flag every few milliseconds so
+/// shutdown is never blocked on a backoff. Returns false when stop was
+/// requested.
+fn backoff(stop: &AtomicBool, total_ms: u64) -> bool {
+    let mut slept = 0u64;
+    while slept < total_ms {
+        if stop.load(Ordering::Acquire) {
+            return false;
         }
-        !self.stop.load(Ordering::Acquire)
+        let chunk = (total_ms - slept).min(5);
+        std::thread::sleep(Duration::from_millis(chunk));
+        slept += chunk;
     }
+    !stop.load(Ordering::Acquire)
 }
 
 #[cfg(test)]
@@ -514,6 +382,43 @@ mod tests {
         assert_eq!(pinned.epoch, epoch_before);
         let durable = sampler.stop().unwrap();
         durable.pdb().check_synchronized().unwrap();
+    }
+
+    #[test]
+    fn epoch_sample_count_never_falls_across_a_recovery() {
+        let dir = fgdb_durability::test_dir("supervise_samples");
+        let fio = FaultyIo::new(FaultSchedule::none());
+        let io: Arc<dyn StoreIo> = Arc::new(fio.clone());
+        let (durable, factory) = durable_fixture(io, &dir);
+        // No registered query: the count must not depend on one.
+        let sampler = SupervisedSampler::spawn(durable, &[], config(), factory).unwrap();
+        let reader = sampler.reader();
+        let mut seen = Vec::new();
+        let mut watch = |until: u64| loop {
+            let epoch = reader.pin();
+            // Every committed interval is one sample of `thinning` (5)
+            // steps, before and after recovery alike.
+            assert_eq!(epoch.samples * 5, epoch.steps, "epoch {}", epoch.epoch);
+            if seen.last() != Some(&(epoch.epoch, epoch.samples)) {
+                seen.push((epoch.epoch, epoch.samples));
+            }
+            if epoch.epoch >= until {
+                return epoch.epoch;
+            }
+            std::thread::yield_now();
+        };
+        let before = watch(3);
+        let fired = fio.fired().len();
+        fio.inject_now(FaultKind::WriteErr);
+        while fio.fired().len() == fired {
+            std::thread::yield_now();
+        }
+        watch(before + 4);
+        assert!(seen.windows(2).all(|w| w[0].1 <= w[1].1), "{seen:?}");
+        assert!(seen.last().is_some_and(|&(_, samples)| samples > 0));
+        let status = reader.status();
+        assert_eq!(status.state, SamplerState::Running);
+        sampler.stop().unwrap();
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! Sharded-sampling acceptance suite.
+//! Sharded-sampling acceptance suite for the one `ProbabilisticDB::step`.
 //!
-//! The anchor property: a **single-shard** sharded sampler is bit-for-bit
-//! the sequential `ProbabilisticDB::step` path — same net changes, same
-//! WAL bytes, same deltas, same stored world, same marginals, same kernel
-//! statistics, same RNG stream. Plus N-shard determinism at fixed seeds,
-//! shard-map rejection at the `ProbabilisticDB` boundary, and the
-//! rejected-interval resync path.
+//! The anchor property: a **single-shard** database — the default, or one
+//! re-partitioned with `ShardMap::single` — is bit-for-bit a plain
+//! `fgdb_mcmc::Chain` with the same seed: same net changes, same WAL
+//! bytes, same deltas, same stored world, same marginals, same kernel
+//! statistics, same RNG stream (the benchmark's replay twin relies on
+//! exactly this). Plus N-shard determinism at fixed seeds, counters that
+//! read the walkers, shard-map rejection at the `ProbabilisticDB`
+//! boundary, the rejected-interval resync path, and the durable layer's
+//! refusal to mount a multi-shard database.
 
-use fgdb_core::{FieldBinding, MarginalTable, ProbabilisticDB, ShardMap};
+use fgdb_core::{
+    DurabilityConfig, DurableError, FieldBinding, MarginalTable, ProbabilisticDB, ShardMap,
+};
 use fgdb_durability::format::{encode_changes, Enc};
 use fgdb_durability::NetChangeRec;
 use fgdb_graph::{Domain, FactorGraph, TableFactor, VariableId, World};
-use fgdb_mcmc::{DynRng, NetChange, Proposal, Proposer, UniformRelabel};
+use fgdb_mcmc::{Chain, DynRng, NetChange, Proposal, Proposer, UniformRelabel};
 use fgdb_relational::{Database, Schema, Tuple, Value, ValueType};
 use std::ops::Range;
 use std::sync::Arc;
@@ -110,48 +115,74 @@ fn wal_bytes(changes: &[NetChange]) -> Vec<u8> {
 
 const Q1: &str = "SELECT string FROM TOKEN WHERE label = 'B-PER'";
 
-#[test]
-fn single_shard_sharded_step_is_bit_for_bit_sequential() {
-    let n = 48;
-    let mut seq = chained_token_pdb(n, 8, 11);
-    let mut sh = chained_token_pdb(n, 8, 11);
-    let map = Arc::new(ShardMap::single(n).unwrap());
-    let mut sampler = sh
-        .sharded_sampler(
-            map,
-            |_, vars| Box::new(UniformRelabel::new(vars.to_vec())) as Box<dyn Proposer>,
-            11,
-        )
-        .unwrap();
+fn relabel(_shard: usize, vars: &[VariableId]) -> Box<dyn Proposer> {
+    Box::new(UniformRelabel::new(vars.to_vec()))
+}
 
-    let mut m_seq = MarginalTable::new();
-    let mut m_sh = MarginalTable::new();
+/// Steps `pdb` beside a reference chain with the same model, proposer and
+/// seed, and a twin database that replays the reference's changes through
+/// `apply_logged_interval`: every interval must agree bit for bit.
+fn assert_steps_like_a_chain(mut pdb: ProbabilisticDB<Arc<FactorGraph>>, seed: u64) {
+    let n = pdb.world().num_variables();
+    let all: Vec<VariableId> = (0..n as u32).map(VariableId).collect();
+    let mut chain = Chain::new(
+        Arc::clone(pdb.model()),
+        relabel(0, &all),
+        pdb.world().clone(),
+        seed,
+    );
+    let mut twin = pdb.snapshot(relabel(0, &all), 0);
+    let mut m_pdb = MarginalTable::new();
+    let mut m_twin = MarginalTable::new();
     for interval in 0..12 {
-        let (d1, c1) = seq.step_logged(25).unwrap();
-        let (d2, c2) = sh.step_sharded_logged(&mut sampler, 25).unwrap();
-        assert_eq!(c1, c2, "net changes diverged at interval {interval}");
+        let d1 = pdb.step(25).unwrap();
+        chain.run(25);
+        let reference = chain.take_changes();
         assert_eq!(
-            wal_bytes(&c1),
-            wal_bytes(&c2),
+            pdb.last_changes(),
+            &reference[..],
+            "net changes diverged at interval {interval}"
+        );
+        assert_eq!(
+            wal_bytes(pdb.last_changes()),
+            wal_bytes(&reference),
             "WAL encoding diverged at interval {interval}"
         );
+        let d2 = twin.apply_logged_interval(&reference).unwrap();
         assert_eq!(d1.added("TOKEN"), d2.added("TOKEN"));
         assert_eq!(d1.removed("TOKEN"), d2.removed("TOKEN"));
-        m_seq.record(&seq.query(Q1).unwrap().rows);
-        m_sh.record(&sh.query(Q1).unwrap().rows);
+        m_pdb.record(&pdb.query(Q1).unwrap().rows);
+        m_twin.record(&twin.query(Q1).unwrap().rows);
     }
-
-    assert_eq!(seq.world().assignment(), sh.world().assignment());
+    assert_eq!(pdb.world().assignment(), chain.world().assignment());
+    assert_eq!(pdb.world().assignment(), twin.world().assignment());
     assert_eq!(
-        seq.world().assignment(),
-        sampler.shard_world(0).assignment()
+        pdb.walkers().shard_world(0).assignment(),
+        chain.world().assignment()
     );
-    assert_eq!(seq.kernel_stats(), sampler.stats());
-    assert_eq!(seq.steps_taken(), sampler.steps_taken());
-    assert_eq!(seq.rng_state(), sampler.shard_rng_state(0));
-    assert_eq!(m_seq.probabilities(), m_sh.probabilities());
-    seq.check_synchronized().unwrap();
-    sh.check_synchronized().unwrap();
+    assert_eq!(pdb.kernel_stats(), chain.stats());
+    assert_eq!(pdb.steps_taken(), chain.steps_taken());
+    assert_eq!(pdb.rng_state(), chain.rng_state());
+    assert_eq!(m_pdb.probabilities(), m_twin.probabilities());
+    pdb.check_synchronized().unwrap();
+    twin.check_synchronized().unwrap();
+}
+
+#[test]
+fn single_shard_step_is_bit_for_bit_a_plain_chain() {
+    assert_steps_like_a_chain(chained_token_pdb(48, 8, 11), 11);
+}
+
+#[test]
+fn resharding_to_one_shard_is_bit_for_bit_a_plain_chain() {
+    // Re-partitioning with the single map and the construction seed yields
+    // the same walker as construction did (shard 0 is seeded with the base
+    // seed itself).
+    let mut pdb = chained_token_pdb(48, 8, 5);
+    pdb.shard(&ShardMap::single(48).unwrap(), relabel, 11)
+        .unwrap();
+    assert_eq!(pdb.walkers().num_shards(), 1);
+    assert_steps_like_a_chain(pdb, 11);
 }
 
 #[test]
@@ -159,26 +190,20 @@ fn multi_shard_fixed_seed_is_deterministic() {
     let run = |seed: u64| {
         let n = 64;
         let mut pdb = chained_token_pdb(n, 8, seed);
-        let map = Arc::new(ShardMap::by_contiguous_groups(&doc_ranges(n, 8), 4).unwrap());
-        let mut sampler = pdb
-            .sharded_sampler(
-                map,
-                |_, vars| Box::new(UniformRelabel::new(vars.to_vec())) as Box<dyn Proposer>,
-                seed,
-            )
-            .unwrap();
+        let map = ShardMap::by_contiguous_groups(&doc_ranges(n, 8), 4).unwrap();
+        pdb.shard(&map, relabel, seed).unwrap();
         let mut all_changes = Vec::new();
         let mut marginals = MarginalTable::new();
         for _ in 0..6 {
-            let (_, changes) = pdb.step_sharded_logged(&mut sampler, 50).unwrap();
-            all_changes.push(changes);
+            pdb.step(50).unwrap();
+            all_changes.push(pdb.last_changes().to_vec());
             marginals.record(&pdb.query(Q1).unwrap().rows);
         }
         pdb.check_synchronized().unwrap();
         (
             all_changes,
             pdb.world().assignment().to_vec(),
-            sampler.stats(),
+            pdb.kernel_stats(),
             marginals.probabilities(),
         )
     };
@@ -188,28 +213,86 @@ fn multi_shard_fixed_seed_is_deterministic() {
 }
 
 #[test]
-fn mid_document_shard_map_is_rejected_at_the_pdb_boundary() {
-    let n = 16;
-    let pdb = chained_token_pdb(n, 8, 3);
-    // Cut one token into the second document: a transition factor spans it.
-    let bad: Vec<u32> = (0..n).map(|t| u32::from(t >= 9)).collect();
-    let map = Arc::new(ShardMap::from_assignment(bad).unwrap());
-    let err = pdb
-        .sharded_sampler(
-            map,
-            |_, vars| Box::new(UniformRelabel::new(vars.to_vec())) as Box<dyn Proposer>,
-            0,
-        )
-        .err()
-        .expect("spanning factor must be rejected");
-    assert!(err.contains("shard map rejected"), "{err}");
+fn counters_read_the_walkers_after_sharded_intervals() {
+    let n = 64;
+    let mut pdb = chained_token_pdb(n, 8, 9);
+    pdb.step(40).unwrap();
+    let before = pdb.kernel_stats();
+    assert_eq!(pdb.steps_taken(), 40);
+
+    let map = ShardMap::by_contiguous_groups(&doc_ranges(n, 8), 4).unwrap();
+    pdb.shard(&map, relabel, 9).unwrap();
+    // Re-sharding carries the retired walker's lifetime counters over.
+    assert_eq!(pdb.steps_taken(), 40);
+    assert_eq!(pdb.kernel_stats(), before);
+
+    for _ in 0..3 {
+        pdb.step(30).unwrap();
+    }
+    let walkers = pdb.walkers();
+    assert_eq!(walkers.num_shards(), 4);
+    // Every shard walked 90 steps; the database reports their sum.
+    assert_eq!(pdb.steps_taken(), 40 + 4 * 90);
+    assert_eq!(pdb.kernel_stats(), walkers.stats());
+    assert_eq!(pdb.kernel_stats().proposals, before.proposals + 4 * 90);
+    assert!(pdb.kernel_stats().accepted > before.accepted);
+    assert_eq!(pdb.rng_state(), walkers.shard_rng_state(0));
+    // Shard 0's stream moved on from its seed: the database's RNG state is
+    // the live walker's, not an idle chain's.
+    let mut fresh = chained_token_pdb(n, 8, 9);
+    fresh.shard(&map, relabel, 9).unwrap();
+    assert_ne!(pdb.rng_state(), fresh.rng_state());
 }
 
-/// Always proposes variable 0 → label index 1 ("B-PER", the highest bias
-/// weight, so the move from any other label is always accepted).
-struct PinZero;
+#[test]
+fn multi_shard_database_cannot_be_mounted_durably() {
+    let n = 16;
+    let mut pdb = chained_token_pdb(n, 8, 4);
+    pdb.shard(
+        &ShardMap::by_contiguous_groups(&doc_ranges(n, 8), 2).unwrap(),
+        relabel,
+        4,
+    )
+    .unwrap();
+    let dir = fgdb_durability::test_dir("sharded-mount");
+    match pdb.open_durable(&dir, DurabilityConfig::default()) {
+        Err(DurableError::Sharded(2)) => {}
+        Err(e) => panic!("expected a typed shard refusal, got {e}"),
+        Ok(_) => panic!("a 2-shard database must not mount"),
+    }
+    assert!(
+        std::fs::read_dir(&dir).map_or(true, |mut d| d.next().is_none()),
+        "a refused mount must not write a store"
+    );
+}
+
+#[test]
+fn mid_document_shard_map_is_rejected_at_the_pdb_boundary() {
+    let n = 16;
+    let mut pdb = chained_token_pdb(n, 8, 3);
+    // Cut one token into the second document: a transition factor spans it.
+    let bad: Vec<u32> = (0..n).map(|t| u32::from(t >= 9)).collect();
+    let map = ShardMap::from_assignment(bad).unwrap();
+    let err = pdb
+        .shard(&map, relabel, 0)
+        .expect_err("spanning factor must be rejected");
+    assert!(err.contains("shard map rejected"), "{err}");
+    // The rejected map left the walkers in place.
+    assert_eq!(pdb.walkers().num_shards(), 1);
+}
+
+/// Proposes variable 0 → label index 1 ("B-PER", the highest bias
+/// weight, so the move from any other label is always accepted) once
+/// `idle` empty proposals have passed.
+struct PinZero {
+    idle: usize,
+}
 impl Proposer for PinZero {
     fn propose(&mut self, _world: &World, _rng: &mut DynRng<'_>) -> Proposal {
+        if self.idle > 0 {
+            self.idle -= 1;
+            return Proposal::symmetric(Vec::new());
+        }
         Proposal::symmetric(vec![(VariableId(0), 1)])
     }
     fn support(&self) -> &[VariableId] {
@@ -222,43 +305,46 @@ impl Proposer for PinZero {
 fn rejected_interval_resynchronizes_the_sampler() {
     let n = 4;
     let mut pdb = chained_token_pdb(n, 2, 7);
-    let map = Arc::new(ShardMap::from_assignment(vec![0, 0, 1, 1]).unwrap());
-    let mut sampler = pdb
-        .sharded_sampler(
-            Arc::clone(&map),
-            |s, vars| -> Box<dyn Proposer> {
-                if s == 0 {
-                    Box::new(PinZero)
-                } else {
-                    Box::new(UniformRelabel::new(vars.to_vec()))
-                }
-            },
-            7,
-        )
-        .unwrap();
+    let map = ShardMap::from_assignment(vec![0, 0, 1, 1]).unwrap();
+    // Shard 1's proposer is mis-partitioned: it writes shard 0's variable
+    // 0 at once, while shard 0's own proposer idles for one interval.
+    pdb.shard(
+        &map,
+        |s, _| -> Box<dyn Proposer> {
+            Box::new(PinZero {
+                idle: if s == 0 { 3 } else { 0 },
+            })
+        },
+        7,
+    )
+    .unwrap();
 
-    // Desynchronize: advance the master world behind the sampler's back
-    // (variable 0: "O" → "B-ORG"), as a foreign writer would.
-    pdb.apply_logged_interval(&[(VariableId(0), 0, 2)]).unwrap();
+    // Interval 1 commits shard 1's foreign write (v0: "O" → "B-PER"),
+    // leaving shard 0's walker stale at "O".
+    pdb.step(3).unwrap();
+    assert_eq!(pdb.last_changes(), &[(VariableId(0), 0, 1)]);
+    assert_eq!(pdb.walkers().shard_world(0).get(VariableId(0)), 0);
 
-    // Shard 0 now deterministically produces (v0, 0→1) from its stale
-    // world; the merge point must reject it against the master's index 2.
-    let err = pdb.step_sharded(&mut sampler, 3);
+    // Interval 2: shard 0 now produces (v0, 0→1) from its stale world; the
+    // merge point must reject it against the master's index 1.
+    let err = pdb.step(3);
     assert!(err.is_err(), "stale-walker batch must be rejected");
+    assert!(pdb.last_changes().is_empty());
     pdb.check_synchronized()
         .expect("rejected interval must not desync world and store");
+    assert_eq!(pdb.world().get(VariableId(0)), 1);
 
-    // The sampler was resynced: walker worlds match the master, queues
+    // The walkers were resynced: their worlds match the master, queues
     // are empty, and the next interval goes through cleanly.
-    assert_eq!(sampler.queued_batches(), 0);
+    let walkers = pdb.walkers();
+    assert_eq!(walkers.queued_batches(), 0);
     for s in 0..2 {
         assert_eq!(
-            sampler.shard_world(s).assignment(),
+            walkers.shard_world(s).assignment(),
             pdb.world().assignment(),
             "shard {s} not resynced"
         );
     }
-    let (_, changes) = pdb.step_sharded_logged(&mut sampler, 3).unwrap();
-    assert!(changes.contains(&(VariableId(0), 2, 1)));
+    pdb.step(3).unwrap();
     pdb.check_synchronized().unwrap();
 }

@@ -101,12 +101,17 @@ fn cast_scoped(path: &str) -> bool {
     )
 }
 
-/// R2 file scope: the panic-free serving and recovery loops.
+/// The files holding the one sampler loop: the loop itself
+/// (`serving.rs`) and the durable store it restarts (`supervise.rs`).
+fn sampler_loop_file(path: &str) -> bool {
+    path == "crates/core/src/serving.rs" || path == "crates/core/src/supervise.rs"
+}
+
+/// R2 file scope: the panic-free serving, recovery and sampler loops.
 fn panic_scoped(path: &str) -> bool {
     (path.starts_with("crates/serve/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/durability/src/") && path.ends_with(".rs"))
-        || path == "crates/core/src/serving.rs"
-        || path == "crates/core/src/supervise.rs"
+        || sampler_loop_file(path)
 }
 
 /// R3 file scope: hot-path modules where a mis-ordered atomic or a lock on
@@ -114,7 +119,7 @@ fn panic_scoped(path: &str) -> bool {
 fn sync_scoped(path: &str) -> bool {
     (path.starts_with("crates/graph/src/") && path.ends_with(".rs"))
         || (path.starts_with("crates/mcmc/src/") && path.ends_with(".rs"))
-        || path == "crates/core/src/serving.rs"
+        || sampler_loop_file(path)
 }
 
 /// Cast targets R1 flags: every integer type strictly narrower than 64

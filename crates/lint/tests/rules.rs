@@ -114,6 +114,24 @@ fn sync_fixture_positives_fire_and_guards_do_not() {
 }
 
 #[test]
+fn sampler_loop_files_are_in_the_sync_and_panic_scopes() {
+    // An unannotated relaxed store on the loop's counters, and a panic
+    // path, are flagged in both files of the one sampler loop.
+    let relaxed = "fn bump(c: &AtomicU64, n: u64) {\n    c.store(n, Ordering::Relaxed);\n}\n";
+    let unwrap = "fn pdb(s: Option<u32>) -> u32 {\n    s.unwrap()\n}\n";
+    for path in ["crates/core/src/serving.rs", "crates/core/src/supervise.rs"] {
+        assert_eq!(rule_lines(path, relaxed, Rule::Sync), vec![2], "{path}");
+        assert_eq!(rule_lines(path, unwrap, Rule::Panic), vec![2], "{path}");
+    }
+    // Annotated, the same relaxed store passes.
+    let annotated = "fn bump(c: &AtomicU64, n: u64) {\n    // lint:allow(sync, advisory counter)\n    c.store(n, Ordering::Relaxed);\n}\n";
+    assert_eq!(
+        count("crates/core/src/serving.rs", annotated, Rule::Sync),
+        0
+    );
+}
+
+#[test]
 fn malformed_suppressions_are_themselves_violations() {
     let path = "crates/graph/src/shard.rs";
     let lines = rule_lines(path, SUPP_FIXTURE, Rule::Suppression);

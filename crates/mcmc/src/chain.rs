@@ -108,11 +108,6 @@ impl<M: Model> Chain<M> {
         out
     }
 
-    /// True when uncommitted changes exist.
-    pub fn has_pending_changes(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Serializes the chain RNG's internal state (32 bytes, little-endian
     /// xoshiro words). Feeding the bytes to [`Chain::restore_rng_state`] —
     /// or `StdRng::from_seed` — resumes the exact random stream, which is
@@ -173,7 +168,7 @@ mod tests {
             assert_eq!(chain.world().get(*v), *new);
         }
         // Pending cleared.
-        assert!(!chain.has_pending_changes());
+        assert!(chain.pending.is_empty());
         assert!(chain.take_changes().is_empty());
     }
 
@@ -199,7 +194,7 @@ mod tests {
         let mut saw_round_trip = false;
         for _ in 0..500 {
             chain.run(1);
-            if chain.world().get(VariableId(0)) == 0 && chain.has_pending_changes() {
+            if chain.world().get(VariableId(0)) == 0 && !chain.pending.is_empty() {
                 unreachable!("pending change with old==new should have compacted away");
             }
             if chain.world().get(VariableId(0)) == 0 {
@@ -253,7 +248,7 @@ mod tests {
         let (g, w, vars) = free_model(2);
         let mut chain = Chain::new(g, Box::new(UniformRelabel::new(vars)), w, 1);
         chain.world_mut().set(VariableId(0), 2);
-        assert!(!chain.has_pending_changes());
+        assert!(chain.pending.is_empty());
         assert_eq!(chain.model().num_factors(), 0);
     }
 }

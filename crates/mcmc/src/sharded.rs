@@ -30,7 +30,6 @@ use crate::proposal::Proposer;
 use crossbeam::thread;
 use fgdb_graph::{Model, ShardError, ShardMap, VariableId, World};
 use std::collections::{hash_map::Entry, HashMap, VecDeque};
-use std::sync::Arc;
 
 /// Derives shard `s`'s RNG seed from the sampler's base seed.
 ///
@@ -59,6 +58,23 @@ struct ShardWalker<M> {
     queue: VecDeque<Vec<NetChange>>,
 }
 
+impl<M: Model> ShardWalker<M> {
+    fn new(chain: Chain<M>) -> Self {
+        ShardWalker {
+            chain,
+            queue: VecDeque::new(),
+        }
+    }
+
+    fn walk(&mut self, k: usize) {
+        self.chain.run(k);
+        let batch = self.chain.take_changes();
+        if !batch.is_empty() {
+            self.queue.push_back(batch);
+        }
+    }
+}
+
 /// Parallel intra-world sampler: one seeded MH walker per shard of a
 /// validated [`ShardMap`], producing into per-shard delta queues that a
 /// single merge point compacts into interval batches.
@@ -69,52 +85,18 @@ struct ShardWalker<M> {
 /// only ever mutate their own shard's variables, so per-shard batches touch
 /// disjoint variables and merge without conflicts.
 pub struct ShardedSampler<M> {
-    map: Arc<ShardMap>,
     walkers: Vec<ShardWalker<M>>,
 }
 
-impl<M: Model + Clone> ShardedSampler<M> {
-    /// Builds one walker per shard: the model is cloned per shard (share it
-    /// via `Arc` — the clone is then a refcount bump), the world is cloned
-    /// per shard, `proposer_for(shard, vars)` supplies a proposer confined
-    /// to that shard's variables, and shard `s` is seeded with
-    /// [`shard_seed`]`(base_seed, s)`.
-    ///
-    /// The map must already be validated against the model
-    /// ([`ShardMap::validate`]); the `ProbabilisticDB::sharded_sampler`
-    /// wrapper in `fgdb-core` does both.
-    ///
-    /// # Errors
-    /// [`ShardError::WorldMismatch`] when the map covers a different number
-    /// of variables than the world.
-    pub fn new(
-        model: &M,
-        world: &World,
-        map: Arc<ShardMap>,
-        mut proposer_for: impl FnMut(usize, &[VariableId]) -> Box<dyn Proposer>,
-        base_seed: u64,
-    ) -> Result<Self, ShardError> {
-        if map.num_variables() != world.num_variables() {
-            return Err(ShardError::WorldMismatch {
-                map_vars: map.num_variables(),
-                world_vars: world.num_variables(),
-            });
+impl<M: Model> ShardedSampler<M> {
+    /// The single-shard sampler: one walker over the whole world, seeded
+    /// with `seed` — bit-for-bit the sequential [`Chain`]. Takes the model
+    /// by value, so models that are not `Clone` (a plain `FactorGraph`)
+    /// sample through it too.
+    pub fn single(model: M, proposer: Box<dyn Proposer>, world: World, seed: u64) -> Self {
+        ShardedSampler {
+            walkers: vec![ShardWalker::new(Chain::new(model, proposer, world, seed))],
         }
-        let walkers = (0..map.num_shards())
-            .map(|s| {
-                let proposer = proposer_for(s, map.variables(s));
-                ShardWalker {
-                    chain: Chain::new(
-                        model.clone(),
-                        proposer,
-                        world.clone(),
-                        shard_seed(base_seed, s),
-                    ),
-                    queue: VecDeque::new(),
-                }
-            })
-            .collect();
-        Ok(ShardedSampler { map, walkers })
     }
 
     /// Runs every shard's walker for `k` MH steps — on scoped threads when
@@ -126,28 +108,15 @@ impl<M: Model + Clone> ShardedSampler<M> {
     /// # Panics
     /// Propagates panics from walker threads.
     pub fn walk(&mut self, k: usize) {
-        if self.walkers.len() == 1 {
-            let w = &mut self.walkers[0];
-            w.chain.run(k);
-            let batch = w.chain.take_changes();
-            if !batch.is_empty() {
-                w.queue.push_back(batch);
-            }
+        if let [w] = &mut self.walkers[..] {
+            w.walk(k);
             return;
         }
         thread::scope(|s| {
             let handles: Vec<_> = self
                 .walkers
                 .iter_mut()
-                .map(|w| {
-                    s.spawn(move |_| {
-                        w.chain.run(k);
-                        let batch = w.chain.take_changes();
-                        if !batch.is_empty() {
-                            w.queue.push_back(batch);
-                        }
-                    })
-                })
+                .map(|w| s.spawn(move |_| w.walk(k)))
                 .collect();
             for h in handles {
                 h.join().expect("shard walker thread panicked");
@@ -165,8 +134,16 @@ impl<M: Model + Clone> ShardedSampler<M> {
     /// Batches from different shards touch disjoint variables (walkers only
     /// mutate their own shard), so cross-shard merge order is immaterial;
     /// within one shard, queued batches fold in FIFO order, preserving the
-    /// chain's own chronology.
+    /// chain's own chronology. A lone queued batch (the single-shard
+    /// interval) is already compacted and sorted and is handed on as is.
     pub fn drain_merged(&mut self) -> Vec<NetChange> {
+        if self.queued_batches() <= 1 {
+            return self
+                .walkers
+                .iter_mut()
+                .find_map(|w| w.queue.pop_front())
+                .unwrap_or_default();
+        }
         let mut net: HashMap<VariableId, (usize, usize)> = HashMap::new();
         for w in &mut self.walkers {
             while let Some(batch) = w.queue.pop_front() {
@@ -194,13 +171,6 @@ impl<M: Model + Clone> ShardedSampler<M> {
         out
     }
 
-    /// One thinning interval: walk every shard `k` steps, then merge — the
-    /// sharded analogue of `Chain::run(k)` + `take_changes()`.
-    pub fn step(&mut self, k: usize) -> Vec<NetChange> {
-        self.walk(k);
-        self.drain_merged()
-    }
-
     /// Resynchronizes every walker's world from the master world — the
     /// recovery path after a merge batch was rejected by store validation
     /// (walker worlds had already advanced past the rejected interval).
@@ -213,9 +183,20 @@ impl<M: Model + Clone> ShardedSampler<M> {
         }
     }
 
-    /// The shard partition.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
+    /// Writes a batch committed from outside the walkers (WAL replay) into
+    /// every walker's world, untracked, so the next walk starts from the
+    /// committed state. Only meaningful at an interval boundary.
+    pub fn advance(&mut self, changes: &[NetChange]) {
+        for w in &mut self.walkers {
+            for &(v, _, new) in changes {
+                w.chain.world_mut().set(v, new);
+            }
+        }
+    }
+
+    /// The model (shard 0's handle; every shard samples the same model).
+    pub fn model(&self) -> &M {
+        self.walkers[0].chain.model()
     }
 
     /// Number of shards (= walkers).
@@ -235,11 +216,6 @@ impl<M: Model + Clone> ShardedSampler<M> {
         total
     }
 
-    /// One shard's kernel statistics.
-    pub fn shard_stats(&self, shard: usize) -> KernelStats {
-        self.walkers[shard].chain.stats()
-    }
-
     /// Total MH steps across all walkers.
     pub fn steps_taken(&self) -> u64 {
         self.walkers.iter().map(|w| w.chain.steps_taken()).sum()
@@ -251,10 +227,26 @@ impl<M: Model + Clone> ShardedSampler<M> {
         self.walkers[shard].chain.world()
     }
 
-    /// One shard's serialized RNG state (for determinism tests and future
-    /// durability of sharded chains).
+    /// One shard's serialized RNG state (for determinism tests and the
+    /// durability layer's single-shard chain record).
     pub fn shard_rng_state(&self, shard: usize) -> [u8; 32] {
         self.walkers[shard].chain.rng_state()
+    }
+
+    /// Restores one shard's chain position: RNG state plus lifetime
+    /// counters (see [`Chain::restore_counters`]). Recovery restores shard
+    /// 0 of a single-shard sampler; re-sharding carries the retired
+    /// sampler's totals over onto the new shard 0.
+    pub fn restore_shard(
+        &mut self,
+        shard: usize,
+        rng_state: [u8; 32],
+        steps_taken: u64,
+        stats: KernelStats,
+    ) {
+        let chain = &mut self.walkers[shard].chain;
+        chain.restore_rng_state(rng_state);
+        chain.restore_counters(steps_taken, stats);
     }
 
     /// Batches currently queued across all shards (drained by the merge
@@ -264,11 +256,53 @@ impl<M: Model + Clone> ShardedSampler<M> {
     }
 }
 
+impl<M: Model + Clone> ShardedSampler<M> {
+    /// Builds one walker per shard: the model is cloned per shard (share it
+    /// via `Arc` — the clone is then a refcount bump), the world is cloned
+    /// per shard, `proposer_for(shard, vars)` supplies a proposer confined
+    /// to that shard's variables, and shard `s` is seeded with
+    /// [`shard_seed`]`(base_seed, s)`.
+    ///
+    /// The map must already be validated against the model
+    /// ([`ShardMap::validate`]); `ProbabilisticDB::shard` in `fgdb-core`
+    /// does both.
+    ///
+    /// # Errors
+    /// [`ShardError::WorldMismatch`] when the map covers a different number
+    /// of variables than the world.
+    pub fn new(
+        model: &M,
+        world: &World,
+        map: &ShardMap,
+        mut proposer_for: impl FnMut(usize, &[VariableId]) -> Box<dyn Proposer>,
+        base_seed: u64,
+    ) -> Result<Self, ShardError> {
+        if map.num_variables() != world.num_variables() {
+            return Err(ShardError::WorldMismatch {
+                map_vars: map.num_variables(),
+                world_vars: world.num_variables(),
+            });
+        }
+        let walkers = (0..map.num_shards())
+            .map(|s| {
+                ShardWalker::new(Chain::new(
+                    model.clone(),
+                    proposer_for(s, map.variables(s)),
+                    world.clone(),
+                    shard_seed(base_seed, s),
+                ))
+            })
+            .collect();
+        Ok(ShardedSampler { walkers })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proposal::UniformRelabel;
     use fgdb_graph::{Domain, FactorGraph, TableFactor};
+    use std::sync::Arc;
 
     /// `n` variables over a 3-label domain with one unary bias factor each —
     /// trivially sharded any way (no pair factors).
@@ -302,14 +336,15 @@ mod tests {
     #[test]
     fn single_shard_matches_plain_chain_bit_for_bit() {
         let (g, w) = biased_model(6);
-        let map = Arc::new(ShardMap::single(6).unwrap());
-        let mut sampler = ShardedSampler::new(&g, &w, map, |_, vars| relabel(vars), 99).unwrap();
+        let map = ShardMap::single(6).unwrap();
+        let mut sampler = ShardedSampler::new(&g, &w, &map, |_, vars| relabel(vars), 99).unwrap();
 
         let all: Vec<VariableId> = (0..6).map(VariableId).collect();
         let mut chain = Chain::new(Arc::clone(&g), relabel(&all), w, 99);
 
         for _ in 0..10 {
-            let merged = sampler.step(50);
+            sampler.walk(50);
+            let merged = sampler.drain_merged();
             chain.run(50);
             let reference = chain.take_changes();
             assert_eq!(merged, reference);
@@ -326,11 +361,9 @@ mod tests {
     #[test]
     fn walkers_only_touch_their_own_shard() {
         let (g, w) = biased_model(12);
-        let map =
-            Arc::new(ShardMap::from_assignment(vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]).unwrap());
+        let map = ShardMap::from_assignment(vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]).unwrap();
         map.validate(&g).unwrap();
-        let mut sampler =
-            ShardedSampler::new(&g, &w, Arc::clone(&map), |_, vars| relabel(vars), 7).unwrap();
+        let mut sampler = ShardedSampler::new(&g, &w, &map, |_, vars| relabel(vars), 7).unwrap();
         for _ in 0..5 {
             sampler.walk(100);
         }
@@ -362,9 +395,8 @@ mod tests {
         // Two walks before one drain: the merge point must fold FIFO batches
         // with the same compaction a single chain would apply.
         let (g, w) = biased_model(4);
-        let map = Arc::new(ShardMap::single(4).unwrap());
-        let mut sharded = ShardedSampler::new(&g, &w, map, |_, vars| relabel(vars), 3).unwrap();
         let all: Vec<VariableId> = (0..4).map(VariableId).collect();
+        let mut sharded = ShardedSampler::single(Arc::clone(&g), relabel(&all), w.clone(), 3);
         let mut chain = Chain::new(Arc::clone(&g), relabel(&all), w, 3);
 
         sharded.walk(40);
@@ -383,17 +415,16 @@ mod tests {
     fn fixed_seeds_are_deterministic_across_runs() {
         let run = |seed: u64| {
             let (g, w) = biased_model(12);
-            let map = Arc::new(
-                ShardMap::from_assignment(
-                    vec![0; 6]
-                        .into_iter()
-                        .chain(vec![1; 6])
-                        .collect::<Vec<u32>>(),
-                )
-                .unwrap(),
-            );
-            let mut s = ShardedSampler::new(&g, &w, map, |_, vars| relabel(vars), seed).unwrap();
-            let changes = s.step(200);
+            let map = ShardMap::from_assignment(
+                vec![0; 6]
+                    .into_iter()
+                    .chain(vec![1; 6])
+                    .collect::<Vec<u32>>(),
+            )
+            .unwrap();
+            let mut s = ShardedSampler::new(&g, &w, &map, |_, vars| relabel(vars), seed).unwrap();
+            s.walk(200);
+            let changes = s.drain_merged();
             let worlds: Vec<Vec<u16>> = (0..2)
                 .map(|i| s.shard_world(i).assignment().to_vec())
                 .collect();
@@ -406,8 +437,8 @@ mod tests {
     #[test]
     fn resync_restores_master_state_and_clears_queues() {
         let (g, w) = biased_model(8);
-        let map = Arc::new(ShardMap::from_assignment(vec![0, 0, 0, 0, 1, 1, 1, 1]).unwrap());
-        let mut s = ShardedSampler::new(&g, &w, map, |_, vars| relabel(vars), 5).unwrap();
+        let map = ShardMap::from_assignment(vec![0, 0, 0, 0, 1, 1, 1, 1]).unwrap();
+        let mut s = ShardedSampler::new(&g, &w, &map, |_, vars| relabel(vars), 5).unwrap();
         s.walk(100);
         assert!(s.queued_batches() > 0);
         s.resync_from(&w);
@@ -420,8 +451,8 @@ mod tests {
     #[test]
     fn world_mismatch_is_rejected() {
         let (g, w) = biased_model(4);
-        let map = Arc::new(ShardMap::single(5).unwrap());
-        let err = ShardedSampler::new(&g, &w, map, |_, vars| relabel(vars), 0)
+        let map = ShardMap::single(5).unwrap();
+        let err = ShardedSampler::new(&g, &w, &map, |_, vars| relabel(vars), 0)
             .err()
             .expect("mismatched map must be rejected");
         assert_eq!(
